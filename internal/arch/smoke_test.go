@@ -53,8 +53,8 @@ func TestSmokeEchoAllArchitectures(t *testing.T) {
 			}
 			end := w.Eng.Run()
 			if got != n {
-				t.Fatalf("%s: delivered %d/%d echoes (end=%v, nic rx=%d drops: steer=%d ring=%d verdict=%d slow=%d)",
-					name, got, n, end, w.NIC.RxWire, w.NIC.RxDropNoSteer, w.NIC.RxDropRing, w.NIC.RxDropVerdict, w.NIC.RxSlowPath)
+				t.Fatalf("%s: delivered %d/%d echoes (end=%v, nic rx=%d drops=%d slow=%d)",
+					name, got, n, end, w.NIC.RxWire, w.NIC.RxDropped(), w.NIC.RxSlowPath)
 			}
 			if end <= 0 {
 				t.Fatalf("%s: simulation did not advance", name)

@@ -76,13 +76,10 @@ func TestSoakConservation(t *testing.T) {
 				delivered += c.NC.RxDelivered
 				ringResidue += uint64(c.NC.RX.Len())
 			}
-			accounted := delivered + n.RxDropNoSteer + n.RxDropRing + n.RxDropVerdict +
-				n.RxSlowPath + n.RxOutageDrop + n.RxFifoDrop
+			accounted := delivered + n.RxSlowPath + n.RxDropped()
 			if accounted != n.RxWire {
-				t.Fatalf("RX conservation broken: wire=%d accounted=%d (delivered=%d drops=%d/%d/%d/%d/%d/%d)",
-					n.RxWire, accounted, delivered,
-					n.RxDropNoSteer, n.RxDropRing, n.RxDropVerdict,
-					n.RxSlowPath, n.RxOutageDrop, n.RxFifoDrop)
+				t.Fatalf("RX conservation broken: wire=%d accounted=%d (delivered=%d slow=%d drops=%d)",
+					n.RxWire, accounted, delivered, n.RxSlowPath, n.RxDropped())
 			}
 			// Poll-mode apps consume everything delivered to the rings.
 			if appDelivered+ringResidue != delivered {
@@ -90,17 +87,17 @@ func TestSoakConservation(t *testing.T) {
 					delivered, appDelivered, ringResidue)
 			}
 			// TX conservation: everything popped from TX rings either hit
-			// the wire, was dropped by a verdict, or is buffered in the
-			// scheduler awaiting a wire slot (none, after Run drains).
+			// the wire, was dropped under a named reason, or is buffered in
+			// the scheduler awaiting a wire slot (none, after Run drains).
 			var txPushed, txResidue uint64
 			for _, c := range conns {
 				prod, _, _ := c.NC.TX.Counters()
 				txPushed += prod
 				txResidue += uint64(c.NC.TX.Len())
 			}
-			if got := n.TxFrames + n.TxDropVerdict + txResidue + uint64(wfq.Len()); got != txPushed {
-				t.Fatalf("TX conservation broken: pushed=%d accounted=%d (tx=%d verdict=%d residue=%d sched=%d)",
-					txPushed, got, n.TxFrames, n.TxDropVerdict, txResidue, wfq.Len())
+			if got := n.TxFrames + n.TxDropped() + txResidue + uint64(wfq.Len()); got != txPushed {
+				t.Fatalf("TX conservation broken: pushed=%d accounted=%d (tx=%d drops=%d residue=%d sched=%d)",
+					txPushed, got, n.TxFrames, n.TxDropped(), txResidue, wfq.Len())
 			}
 			if wireOut == 0 || appDelivered == 0 {
 				t.Fatal("soak produced no traffic")

@@ -72,6 +72,37 @@ func TestStatusAndAdvance(t *testing.T) {
 	}
 }
 
+// TestStatusRxDropsCountsLinkDrops flaps the link under the echo workload:
+// the echoes lost at the MAC while it is down are drops like any other, so
+// status rx_drops must include them and equal the NIC's whole ingress drop
+// ledger.
+func TestStatusRxDropsCountsLinkDrops(t *testing.T) {
+	c, sys := startServer(t)
+	nic := sys.World().NIC
+	var st StatusData
+	if err := c.Call(OpAdvance, AdvanceArgs{Millis: 2}, &st); err != nil {
+		t.Fatal(err)
+	}
+	nic.SetLink(false)
+	if err := c.Call(OpAdvance, AdvanceArgs{Millis: 2}, &st); err != nil {
+		t.Fatal(err)
+	}
+	nic.SetLink(true)
+	if err := c.Call(OpAdvance, AdvanceArgs{Millis: 2}, &st); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Call(OpStatus, nil, &st); err != nil {
+		t.Fatal(err)
+	}
+	if nic.RxLinkDrop == 0 {
+		t.Fatal("the link flap dropped nothing")
+	}
+	if st.RxDrops < nic.RxLinkDrop || st.RxDrops != nic.RxDropped() {
+		t.Fatalf("status rx_drops %d, want every ingress drop %d including %d link drops",
+			st.RxDrops, nic.RxDropped(), nic.RxLinkDrop)
+	}
+}
+
 func TestRuleLifecycle(t *testing.T) {
 	c, _ := startServer(t)
 	uid := uint32(1000)

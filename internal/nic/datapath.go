@@ -83,6 +83,112 @@ func stamp(c *Conn, p *packet.Packet, now sim.Time) {
 	p.Meta.Enqueued = now
 }
 
+// reqKind names one datapath stage that needs a serial NIC server. A
+// grant's kind fixes the server, the occupancy it bills and the continuation
+// that runs once the slot is owned; the tenant scheduler (tenant.go) only
+// decides when that happens.
+type reqKind uint8
+
+const (
+	reqTxFetch reqKind = iota // DMA engine: TX descriptor+payload fetch
+	reqTxPipe                 // pipeline: egress slot for a fetched frame
+	reqRxPipe                 // pipeline: ingress slot for a wire frame
+	reqRxDMA                  // DMA engine: RX descriptor read + payload store
+)
+
+// grant is one request for a serial NIC server. It is a flat value — the
+// scheduler's per-tenant queues are rings of grants, so steady-state
+// scheduling allocates nothing.
+type grant struct {
+	kind  reqKind
+	c     *Conn // nil only for unsteered reqRxPipe frames
+	p     *packet.Packet
+	index uint64       // ring slot, DMA kinds only
+	frame int          // wire frame length
+	prod  sim.Time     // TX descriptor Produced stamp (reqTxFetch)
+	est   sim.Duration // grantEst, set when the scheduler queues the grant
+	enq   sim.Time     // when the request was queued, for wait accounting
+}
+
+// tenantID attributes a grant: the steered connection's tenant, or whatever
+// the packet already carries (0, the unattributed tenant, for unsteered
+// ingress).
+func (g grant) tenantID() uint32 {
+	if g.c != nil {
+		return g.c.Meta.Tenant
+	}
+	return g.p.Meta.Tenant
+}
+
+// request arbitrates one datapath stage. With no tenant scheduler the
+// stage's server is acquired FIFO right away; with one, the tenant's DRR ring
+// decides when. Either way the continuation the grant's kind names runs once
+// the server slot is owned.
+func (n *NIC) request(g grant) {
+	onPipe := g.kind == reqTxPipe || g.kind == reqRxPipe
+	switch {
+	case n.tsched != nil && onPipe:
+		n.tsched.Pipe.Request(g)
+	case n.tsched != nil:
+		n.tsched.DMA.Request(g)
+	default:
+		srv := n.dma
+		if onPipe {
+			srv = n.pipeline
+		}
+		_, done := srv.Acquire(n.eng.Now(), n.grantCost(g))
+		n.resume(g, done)
+	}
+}
+
+// grantCost is a grant's actual server occupancy. The DMA kinds touch the
+// LLC, so it runs exactly once, at serve time.
+func (n *NIC) grantCost(g grant) sim.Duration {
+	switch g.kind {
+	case reqTxFetch:
+		return n.dmaCost(g.c, g.c.TX, g.index, g.frame, false)
+	case reqRxDMA:
+		return n.dmaCost(g.c, g.c.RX, g.index, g.frame, true)
+	}
+	return n.pipeOccupancy(g.frame)
+}
+
+// grantEst is the occupancy the tenant scheduler accounts when it selects a
+// grant: exact for the pipeline, whose occupancy is frame-length-determined,
+// and a descriptor hit for the DMA engine — the miss it cannot predict is
+// trued up at serve time.
+func (n *NIC) grantEst(g grant) sim.Duration {
+	if g.kind == reqTxPipe || g.kind == reqRxPipe {
+		return n.pipeOccupancy(g.frame)
+	}
+	return n.model.DMA(64 + g.frame)
+}
+
+// resume runs the continuation a grant's kind names, once the server slot
+// ending at done is owned.
+func (n *NIC) resume(g grant, done sim.Time) {
+	switch g.kind {
+	case reqTxFetch:
+		n.txFetchDone(g, done)
+	case reqTxPipe:
+		n.egressPipe(g, done)
+	case reqRxPipe:
+		n.ingressPipe(g, done)
+	case reqRxDMA:
+		n.rxDMADone(g, done)
+	}
+}
+
+// charge bills pipeline-adjacent work (overlay cycles, the flow-cache probe)
+// to the packet's tenant when the scheduler is installed, so a tenant that
+// runs expensive programs pays for them in its own schedule. It returns d.
+func (n *NIC) charge(p *packet.Packet, d sim.Duration) sim.Duration {
+	if n.tsched != nil {
+		n.tsched.Pipe.Charge(p.Meta.Tenant, d)
+	}
+	return d
+}
+
 // DoorbellTx is the MMIO doorbell: the application (or kernel driver) has
 // published descriptors in c's TX ring. The NIC drains the ring through the
 // egress pipeline. The caller accounts its own MMIO write cost; everything
@@ -158,42 +264,39 @@ func (n *NIC) drainTx(c *Conn) {
 		c.rlTokens -= float64(frame)
 	}
 
-	if n.tsched != nil {
-		// Tenant-scheduled dataplane: the descriptor fetch queues on the
-		// tenant's DMA DRR ring instead of FIFO at the engine; the drain
-		// chain resumes when the grant is served (tenant.go).
-		n.tsched.DMA.Request(grant{kind: reqTxFetch, c: c, p: p, index: index,
-			frame: frame, est: n.model.DMA(64 + frame), prod: d.Produced})
-		return
-	}
-
 	// Fetch descriptor + payload over PCIe. The fetch engine is pipelined:
 	// the next descriptor is fetched as soon as the DMA engine frees up,
 	// while this packet rides its own latency chain through the pipeline.
-	_, fetchDone := n.dma.Acquire(now, n.dmaCost(c, c.TX, index, frame, false))
-	n.eng.At(fetchDone, func() { n.drainTx(c) })
-	arrive := fetchDone.Add(n.model.DMALatency)
-
-	n.eng.At(arrive, func() { n.txArrive(c, p, frame, d.Produced) })
+	n.request(grant{kind: reqTxFetch, c: c, p: p, index: index, frame: frame, prod: d.Produced})
 }
 
-// txArrive is the egress continuation once a fetched descriptor's payload has
-// crossed PCIe: outage check, metadata stamp, then the pipeline — directly on
-// the unscheduled path, via the tenant pipeline DRR on the scheduled one.
+// txFetchDone is the TX-fetch continuation: the drain chain resumes when the
+// DMA engine frees, and the frame reaches the egress pipeline after the PCIe
+// flight.
+func (n *NIC) txFetchDone(g grant, done sim.Time) {
+	c, p, frame, prod := g.c, g.p, g.frame, g.prod
+	n.eng.At(done, func() { n.drainTx(c) })
+	n.eng.At(done.Add(n.model.DMALatency), func() { n.txArrive(c, p, frame, prod) })
+}
+
+// txArrive is the egress step once a fetched descriptor's payload has crossed
+// PCIe: outage check, metadata stamp, then a request for a pipeline slot.
 func (n *NIC) txArrive(c *Conn, p *packet.Packet, frame int, produced sim.Time) {
-	now := n.eng.Now()
-	if n.Down(now) {
+	if n.Down(n.eng.Now()) {
 		n.TxOutageDrop++ // dataplane outage: frame lost, typed as such
 		n.txSlotFree()
 		return
 	}
 	stamp(c, p, produced)
-	if n.tsched != nil {
-		n.tsched.Pipe.Request(grant{kind: reqTxPipe, c: c, p: p, frame: frame,
-			est: n.pipeOccupancy(frame)})
-		return
-	}
-	_, pipeDone := n.pipeline.Acquire(now, n.pipeOccupancy(frame))
+	n.request(grant{kind: reqTxPipe, c: c, p: p, frame: frame})
+}
+
+// egressPipe is the egress-pipe continuation and the only place the egress
+// overlay runs: the verdict is decided now, and an approved frame leaves the
+// pipeline once the granted occupancy plus program latency elapses.
+func (n *NIC) egressPipe(g grant, done sim.Time) {
+	now := n.eng.Now()
+	c, p := g.c, g.p
 	lat := sim.Duration(n.model.NICPipeline)
 	if n.egress != nil {
 		verdict, cycles, trap := n.egress.Run(p, env{n: n, now: now, c: c})
@@ -203,7 +306,7 @@ func (n *NIC) txArrive(c *Conn, p *packet.Packet, frame int, produced sim.Time) 
 			}
 			verdict, cycles = n.trapFallback(Egress, p, env{n: n, now: now, c: c})
 		}
-		lat += n.model.NICCycles(cycles)
+		lat += n.charge(p, n.model.NICCycles(cycles))
 		if n.tracer != nil {
 			n.trace(p, now, "nic", "pipeline_egress", fmt.Sprintf("verdict=%v cycles=%d", verdict, cycles))
 		}
@@ -213,7 +316,7 @@ func (n *NIC) txArrive(c *Conn, p *packet.Packet, frame int, produced sim.Time) 
 			return
 		}
 	}
-	n.eng.At(pipeDone.Add(lat), func() { n.txEmit(c, p) })
+	n.eng.At(done.Add(lat), func() { n.txEmit(c, p) })
 }
 
 // txEmit hands a pipeline-approved frame onward: TSO segmentation when
@@ -388,57 +491,75 @@ func (n *NIC) rxFrame(p *packet.Packet) {
 
 // rxAdmit is ingress admission past the MAC and pause gate: both the live
 // wire path (rxFrame) and the pause-buffer replay (ResumeRx) enter here, so
-// a replayed frame takes exactly the path it would have taken live — FIFO
-// accounting, shed policy, outage check, pipeline, DMA.
+// a replayed frame takes exactly the path it would have taken live. Steering
+// and the metadata stamp come first: the tenant decides whose FIFO share the
+// frame occupies, and the overlay's uid/pid/cmd fields come from the
+// connection context. Then the FIFO slot, the shed policy, the outage check
+// and a request for a pipeline slot.
 func (n *NIC) rxAdmit(p *packet.Packet, now sim.Time) {
-	if n.tsched != nil {
-		n.rxFrameSched(p, now)
-		return
-	}
-	if n.rxInflight >= n.rxWindow {
-		n.RxFifoDrop++
-		n.trace(p, now, "nic", "rx_fifo_drop", "")
-		return
-	}
-	// Priority-aware shedding: under sustained pressure the installed policy
-	// drops low-class ingress here, before the frame can occupy a FIFO slot
-	// or touch the DMA engine — the point is to stop cold descriptors from
-	// thrashing the DDIO ways, so the shed must happen upstream of both.
-	if n.shedPolicy != nil {
-		if c := n.steer(p); c != nil && n.shedPolicy(c, p) {
-			n.RxShed++
-			n.trace(p, now, "nic", "shed", fmt.Sprintf("conn=%d", c.ID))
-			return
-		}
-	}
-	if n.Down(now) {
-		n.RxOutageDrop++
-		if n.SlowPath != nil {
-			n.RxSlowPath++
-			n.SlowPath(p, now)
-		}
-		return
-	}
-
-	n.rxInflight++
-	_, pipeDone := n.pipeline.Acquire(now, n.pipeOccupancy(p.FrameLen()))
-	lat := sim.Duration(n.model.NICPipeline)
-
-	// Steer first so trusted metadata is stamped before the overlay runs —
-	// the overlay's uid/pid/cmd fields come from the connection context.
 	c := n.steer(p)
 	if c != nil {
 		stamp(c, p, now)
 	}
+	// The FIFO slot: room under the global window, or a place in the
+	// tenant's share under the scheduler. rxInflight counts the frame only
+	// once it passes admission.
+	admit := n.rxInflight < n.rxWindow
+	if n.tsched != nil {
+		admit = n.tsched.rxAdmit(p.Meta.Tenant)
+	}
+	if !admit {
+		n.RxFifoDrop++
+		if n.tracer != nil {
+			n.trace(p, now, "nic", "rx_fifo_drop", fmt.Sprintf("tenant=%d", p.Meta.Tenant))
+		}
+		return
+	}
+	// Priority-aware shedding: under sustained pressure the installed policy
+	// drops low-class ingress here, before the frame can touch the pipeline
+	// or the DMA engine — the point is to stop cold descriptors from
+	// thrashing the DDIO ways, so the shed must happen upstream of both. An
+	// outage hands the frame to the slow path when there is one, and counts
+	// it there, not as a drop.
+	shed := n.shedPolicy != nil && c != nil && n.shedPolicy(c, p)
+	if shed || n.Down(now) {
+		if n.tsched != nil {
+			n.tsched.rxRelease(p.Meta.Tenant)
+		}
+		switch {
+		case shed:
+			n.RxShed++
+			if n.tracer != nil {
+				n.trace(p, now, "nic", "shed", fmt.Sprintf("conn=%d", c.ID))
+			}
+		case n.SlowPath != nil:
+			n.RxSlowPath++
+			n.SlowPath(p, now)
+		default:
+			n.RxOutageDrop++
+		}
+		return
+	}
+	n.rxInflight++
 	if n.tap != nil {
 		n.tap.Offer(p, now)
 	}
+	n.request(grant{kind: reqRxPipe, c: c, p: p, frame: p.FrameLen()})
+}
 
+// ingressPipe is the ingress-pipe continuation and the only copy of classify:
+// flow-cache probe, else the overlay run with its trap fallback and cache
+// install, then the verdict. A steered frame goes on to the RX DMA; an
+// unsteered one to the slow path, or it is dropped.
+func (n *NIC) ingressPipe(g grant, done sim.Time) {
+	now := n.eng.Now()
+	c, p := g.c, g.p
+	lat := sim.Duration(n.model.NICPipeline)
 	if n.ingress != nil {
 		if e, hit := n.fcLookup(p, c); hit {
 			// Fast path: the memoized verdict and rewrite apply at
 			// single-lookup cost — no overlay interpretation.
-			lat += n.model.NICCycles(1)
+			lat += n.charge(p, n.model.NICCycles(1))
 			p.Meta.Mark = e.mark
 			p.Meta.Class = e.class
 			if n.tracer != nil {
@@ -446,7 +567,7 @@ func (n *NIC) rxAdmit(p *packet.Packet, now sim.Time) {
 			}
 			if e.verdict == overlay.VerdictDrop {
 				n.RxDropVerdict++
-				n.rxInflight--
+				n.rxRelease(p)
 				return
 			}
 		} else {
@@ -459,87 +580,60 @@ func (n *NIC) rxAdmit(p *packet.Packet, now sim.Time) {
 				verdict, cycles = n.trapFallback(Ingress, p, env{n: n, now: now, c: c})
 			}
 			n.IngressProgCycles += uint64(cycles)
-			lat += n.model.NICCycles(cycles)
+			cyc := n.model.NICCycles(cycles)
 			if n.fc != nil && n.ingressCacheable && c != nil {
-				lat += n.model.NICCycles(1) // the probe that missed
+				cyc += n.model.NICCycles(1) // the probe that missed
 			}
+			lat += n.charge(p, cyc)
 			if n.tracer != nil {
 				n.trace(p, now, "nic", "pipeline_ingress", fmt.Sprintf("verdict=%v cycles=%d", verdict, cycles))
 			}
 			n.fcInstall(p, c, verdict, trapped)
 			if verdict == overlay.VerdictDrop {
 				n.RxDropVerdict++
-				n.rxInflight--
+				n.rxRelease(p)
 				return
 			}
 		}
 	}
 
+	at := done.Add(lat)
 	if c == nil {
 		if n.SlowPath != nil {
 			n.RxSlowPath++
-			at := pipeDone.Add(lat)
 			n.eng.At(at, func() {
-				n.rxInflight--
+				n.rxRelease(p)
 				n.SlowPath(p, n.eng.Now())
 			})
 		} else {
 			n.RxDropNoSteer++
-			n.rxInflight--
+			n.rxRelease(p)
 		}
 		return
 	}
-
-	// DMA the frame into the connection's RX ring.
-	index := c.RX.Head()
-	start := pipeDone.Add(lat)
-	dmaAt := start
-	if free := n.dma.FreeAt(); free > dmaAt {
-		dmaAt = free
+	frame := g.frame
+	if n.tsched == nil {
+		// The unscheduled DMA request fires at max(pipeline exit,
+		// dma.FreeAt()) and stores into the ring slot that is next now, both
+		// sampled at pipeline time; the scheduler requests at pipeline exit
+		// and takes the slot then. Each choice fixes the DMA reservation order
+		// and the LLC access order its recorded tables were measured with, so
+		// the two stay distinct.
+		index := c.RX.Head()
+		if free := n.dma.FreeAt(); free > at {
+			at = free
+		}
+		n.eng.At(at, func() { n.request(grant{kind: reqRxDMA, c: c, p: p, index: index, frame: frame}) })
+		return
 	}
-	n.eng.At(dmaAt, func() {
-		now := n.eng.Now()
-		_, dmaDone := n.dma.Acquire(now, n.dmaCost(c, c.RX, index, p.FrameLen(), true))
-		visible := dmaDone.Add(n.model.DMALatency)
-		n.eng.At(visible, func() { n.rxComplete(c, p, index) })
-	})
+	n.eng.At(at, func() { n.request(grant{kind: reqRxDMA, c: c, p: p, index: c.RX.Head(), frame: frame}) })
 }
 
-// rxFrameSched is the tenant-scheduled ingress path: steer and stamp first —
-// tenant attribution decides whose FIFO share the frame occupies — then
-// charge that share, apply shedding/outage policy, and queue the frame on the
-// tenant's pipeline DRR ring.
-func (n *NIC) rxFrameSched(p *packet.Packet, now sim.Time) {
-	c := n.steer(p)
-	if c != nil {
-		stamp(c, p, now)
-	}
-	if !n.tsched.rxAdmit(p.Meta.Tenant) {
-		n.RxFifoDrop++
-		n.trace(p, now, "nic", "rx_fifo_drop", fmt.Sprintf("tenant=%d", p.Meta.Tenant))
-		return
-	}
-	if n.shedPolicy != nil && c != nil && n.shedPolicy(c, p) {
-		n.tsched.rxRelease(p.Meta.Tenant)
-		n.RxShed++
-		n.trace(p, now, "nic", "shed", fmt.Sprintf("conn=%d", c.ID))
-		return
-	}
-	if n.Down(now) {
-		n.tsched.rxRelease(p.Meta.Tenant)
-		n.RxOutageDrop++
-		if n.SlowPath != nil {
-			n.RxSlowPath++
-			n.SlowPath(p, now)
-		}
-		return
-	}
-	n.rxInflight++
-	if n.tap != nil {
-		n.tap.Offer(p, now)
-	}
-	n.tsched.Pipe.Request(grant{kind: reqRxPipe, c: c, p: p, frame: p.FrameLen(),
-		est: n.pipeOccupancy(p.FrameLen())})
+// rxDMADone is the RX-DMA continuation: the stored frame becomes host
+// visible after the PCIe flight.
+func (n *NIC) rxDMADone(g grant, done sim.Time) {
+	c, p, index := g.c, g.p, g.index
+	n.eng.At(done.Add(n.model.DMALatency), func() { n.rxComplete(c, p, index) })
 }
 
 // rxRelease returns the ingress FIFO slot(s) a frame held: the global

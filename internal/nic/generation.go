@@ -275,6 +275,8 @@ func (n *NIC) pauseIntake(p *packet.Packet, now sim.Time) bool {
 	}
 	n.rxPauseBuf = append(n.rxPauseBuf, p)
 	n.RxPauseBuffered++
-	n.trace(p, now, "nic", "rx_pause_buffer", fmt.Sprintf("depth=%d", len(n.rxPauseBuf)))
+	if n.tracer != nil {
+		n.trace(p, now, "nic", "rx_pause_buffer", fmt.Sprintf("depth=%d", len(n.rxPauseBuf)))
+	}
 	return true
 }

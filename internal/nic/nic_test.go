@@ -230,6 +230,24 @@ func TestBitstreamOutageDropsTraffic(t *testing.T) {
 	if c.RxDelivered != 1 {
 		t.Fatalf("post-outage delivery = %d", c.RxDelivered)
 	}
+
+	// With a slow path installed, an outage frame is handed over, not lost:
+	// it counts once, in RxSlowPath, so wire = delivered + slow + Σdrops.
+	n, eng = newNIC(1 << 20)
+	_, _ = n.OpenConn(1, packet.Meta{}, nil)
+	n.SetDefaultConn(1)
+	var slow int
+	n.SlowPath = func(*packet.Packet, sim.Time) { slow++ }
+	n.ReloadBitstream(0, 10*sim.Microsecond)
+	n.DeliverFromWire(udpTo(80))
+	eng.Run()
+	if slow != 1 || n.RxSlowPath != 1 || n.RxOutageDrop != 0 {
+		t.Fatalf("outage with slow path: handed %d, RxSlowPath %d, RxOutageDrop %d; want 1, 1, 0",
+			slow, n.RxSlowPath, n.RxOutageDrop)
+	}
+	if got := n.RxSlowPath + n.RxDropped(); got != n.RxWire {
+		t.Fatalf("ledger: slow %d + drops %d != wire %d", n.RxSlowPath, n.RxDropped(), n.RxWire)
+	}
 }
 
 func TestNotifyQueueOnRx(t *testing.T) {

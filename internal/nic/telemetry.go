@@ -7,49 +7,72 @@ import (
 	"norman/internal/telemetry"
 )
 
+// dropClasses is the NIC's drop ledger: every reason the NIC loses a frame,
+// once, in a fixed order, with the public counter that holds it. The metrics
+// registry, RxDropped/TxDropped and every conservation ledger read this
+// table, so a new drop class is counted everywhere by adding one row.
+var dropClasses = [...]struct {
+	name, help string
+	dir        Direction
+	field      func(*NIC) *uint64
+}{
+	{"rx_drop_nosteer", "frames dropped for lack of a steering rule (no default conn)", Ingress, func(n *NIC) *uint64 { return &n.RxDropNoSteer }},
+	{"rx_drop_ring", "frames dropped because the destination RX ring was full", Ingress, func(n *NIC) *uint64 { return &n.RxDropRing }},
+	{"rx_drop_verdict", "frames dropped by an ingress overlay verdict", Ingress, func(n *NIC) *uint64 { return &n.RxDropVerdict }},
+	{"rx_outage_drop", "frames dropped while the dataplane was faulted down", Ingress, func(n *NIC) *uint64 { return &n.RxOutageDrop }},
+	{"rx_fifo_drop", "frames dropped at the MAC FIFO under DMA backpressure", Ingress, func(n *NIC) *uint64 { return &n.RxFifoDrop }},
+	{"rx_shed", "ingress frames deliberately dropped by the priority-aware shed policy", Ingress, func(n *NIC) *uint64 { return &n.RxShed }},
+	{"rx_link_drop", "ingress frames lost while the physical link was down", Ingress, func(n *NIC) *uint64 { return &n.RxLinkDrop }},
+	{"rx_pause_drop", "ingress frames dropped because the bounded cutover pause buffer overflowed", Ingress, func(n *NIC) *uint64 { return &n.RxPauseDrop }},
+	{"tx_drop_verdict", "frames dropped by an egress overlay verdict", Egress, func(n *NIC) *uint64 { return &n.TxDropVerdict }},
+	{"tx_outage_drop", "egress frames lost to a bitstream-reload outage", Egress, func(n *NIC) *uint64 { return &n.TxOutageDrop }},
+}
+
+func (n *NIC) dropped(dir Direction) uint64 {
+	var sum uint64
+	for _, d := range dropClasses {
+		if d.dir == dir {
+			sum += *d.field(n)
+		}
+	}
+	return sum
+}
+
+// RxDropped sums every ingress drop class: with delivered, slow-pathed and
+// in-flight frames it accounts for everything that reached the NIC.
+func (n *NIC) RxDropped() uint64 { return n.dropped(Ingress) }
+
+// TxDropped sums every egress drop class.
+func (n *NIC) TxDropped() uint64 { return n.dropped(Egress) }
+
 // RegisterMetrics exposes the NIC's dataplane counters and SRAM occupancy
 // through a telemetry registry. The NIC keeps plain uint64 fields on the hot
 // path; the registry reads them lazily through closures at render time, so
 // registration adds no per-packet cost.
 func (n *NIC) RegisterMetrics(r *telemetry.Registry, labels telemetry.Labels) {
+	for _, d := range dropClasses {
+		v := d.field(n)
+		r.Counter(telemetry.Desc{Layer: "nic", Name: d.name, Help: d.help, Unit: "frames"},
+			labels, func() uint64 { return *v })
+	}
 	counters := []struct {
-		name, help string
-		v          *uint64
+		name, help, unit string
+		v                *uint64
 	}{
-		{"rx_wire", "frames that arrived from the wire", &n.RxWire},
-		{"rx_drop_nosteer", "frames dropped for lack of a steering rule (no default conn)", &n.RxDropNoSteer},
-		{"rx_drop_ring", "frames dropped because the destination RX ring was full", &n.RxDropRing},
-		{"rx_drop_verdict", "frames dropped by an ingress overlay verdict", &n.RxDropVerdict},
-		{"rx_slow_path", "frames punted to the software slow path", &n.RxSlowPath},
-		{"rx_outage_drop", "frames dropped while the dataplane was faulted down", &n.RxOutageDrop},
-		{"rx_fifo_drop", "frames dropped at the MAC FIFO under DMA backpressure", &n.RxFifoDrop},
-		{"rx_shed", "ingress frames deliberately dropped by the priority-aware shed policy", &n.RxShed},
-		{"rx_link_drop", "ingress frames lost while the physical link was down", &n.RxLinkDrop},
-		{"rx_pause_buffered", "ingress frames held and replayed by the cutover pause buffer", &n.RxPauseBuffered},
-		{"rx_pause_drop", "ingress frames dropped because the bounded cutover pause buffer overflowed", &n.RxPauseDrop},
-		{"tx_frames", "frames transmitted onto the wire", &n.TxFrames},
-		{"tx_drop_verdict", "frames dropped by an egress overlay verdict", &n.TxDropVerdict},
-		{"tx_outage_drop", "egress frames lost to a bitstream-reload outage", &n.TxOutageDrop},
-		{"tx_bytes", "bytes transmitted onto the wire", &n.TxBytes},
-		{"dma_desc_hit", "descriptor fetches satisfied by the on-NIC shadow (no PCIe round trip)", &n.DMADescHit},
-		{"dma_desc_miss", "descriptor fetches that crossed PCIe to host memory", &n.DMADescMiss},
-		{"trap_fallbacks", "overlay runtime traps absorbed by falling back to the last-good chain", &n.TrapFallbacks},
-		{"trap_fail_opens", "double-trap events that unloaded the pipeline and failed open", &n.TrapFailOpens},
-		{"dma_stall_ns", "injected DMA-engine stall time", &n.DMAStallNs},
+		{"rx_wire", "frames that arrived from the wire", "frames", &n.RxWire},
+		{"rx_slow_path", "frames punted to the software slow path", "frames", &n.RxSlowPath},
+		{"rx_pause_buffered", "ingress frames held and replayed by the cutover pause buffer", "frames", &n.RxPauseBuffered},
+		{"tx_frames", "frames transmitted onto the wire", "frames", &n.TxFrames},
+		{"tx_bytes", "bytes transmitted onto the wire", "bytes", &n.TxBytes},
+		{"dma_desc_hit", "descriptor fetches satisfied by the on-NIC shadow (no PCIe round trip)", "fetches", &n.DMADescHit},
+		{"dma_desc_miss", "descriptor fetches that crossed PCIe to host memory", "fetches", &n.DMADescMiss},
+		{"trap_fallbacks", "overlay runtime traps absorbed by falling back to the last-good chain", "traps", &n.TrapFallbacks},
+		{"trap_fail_opens", "double-trap events that unloaded the pipeline and failed open", "traps", &n.TrapFailOpens},
+		{"dma_stall_ns", "injected DMA-engine stall time", "ns", &n.DMAStallNs},
 	}
 	for _, c := range counters {
 		v := c.v
-		unit := "frames"
-		if c.name == "tx_bytes" {
-			unit = "bytes"
-		} else if c.name == "dma_desc_hit" || c.name == "dma_desc_miss" {
-			unit = "fetches"
-		} else if c.name == "trap_fallbacks" || c.name == "trap_fail_opens" {
-			unit = "traps"
-		} else if c.name == "dma_stall_ns" {
-			unit = "ns"
-		}
-		r.Counter(telemetry.Desc{Layer: "nic", Name: c.name, Help: c.help, Unit: unit},
+		r.Counter(telemetry.Desc{Layer: "nic", Name: c.name, Help: c.help, Unit: c.unit},
 			labels, func() uint64 { return *v })
 	}
 	r.Gauge(telemetry.Desc{Layer: "nic", Name: "sram_used_bytes", Help: "on-NIC SRAM consumed by connections, steering entries and overlay programs", Unit: "bytes"},

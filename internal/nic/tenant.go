@@ -1,11 +1,8 @@
 package nic
 
 import (
-	"fmt"
 	"sort"
 
-	"norman/internal/overlay"
-	"norman/internal/packet"
 	"norman/internal/sim"
 )
 
@@ -17,46 +14,11 @@ import (
 // resources serve the tenants that were admitted, which is what keeps an
 // adversarial neighbor's backlog out of a latency-sensitive tenant's way.
 //
-// The scheduler is strictly opt-in: with no scheduler installed every request
-// acquires its server directly, preserving the historical FIFO dataplane
-// byte-for-byte (E1–E12 tables do not move).
-
-// reqKind selects which datapath continuation a grant resumes.
-type reqKind uint8
-
-const (
-	reqTxFetch reqKind = iota // DMA engine: TX descriptor+payload fetch
-	reqTxPipe                 // pipeline: egress slot for a fetched frame
-	reqRxPipe                 // pipeline: ingress slot for a wire frame
-	reqRxDMA                  // DMA engine: RX descriptor read + payload store
-)
-
-// grant is one queued request for a scheduled resource. It is a flat value —
-// per-tenant queues are rings of grants, so steady-state scheduling allocates
-// nothing. est is the *estimated* server occupancy used for deficit
-// accounting at selection time; the actual cost (which may include a DDIO
-// descriptor miss the scheduler cannot predict) is billed as a correction
-// when the grant is served.
-type grant struct {
-	kind  reqKind
-	c     *Conn // nil only for unsteered reqRxPipe frames
-	p     *packet.Packet
-	index uint64       // ring slot, DMA kinds only
-	frame int          // wire frame length
-	est   sim.Duration // estimated server occupancy (DRR accounting unit)
-	prod  sim.Time     // TX descriptor Produced stamp (reqTxFetch)
-	enq   sim.Time     // when the request was queued, for wait accounting
-}
-
-// tenantID attributes a grant: the steered connection's tenant, or whatever
-// the packet already carries (0, the unattributed tenant, for unsteered
-// ingress).
-func (g grant) tenantID() uint32 {
-	if g.c != nil {
-		return g.c.Meta.Tenant
-	}
-	return g.p.Meta.Tenant
-}
+// The scheduler only arbitrates: what a granted stage does is the NIC's own
+// continuation (datapath.go), the same one the unscheduled NIC runs. It is
+// strictly opt-in: with no scheduler installed NIC.request acquires each
+// server directly, preserving the historical FIFO dataplane byte-for-byte
+// (E1–E12 tables do not move).
 
 // tenantQ is one tenant's state on one scheduled resource: a grant ring and
 // the DRR deficit. Deficits are int64 nanoseconds of server time and reset
@@ -131,16 +93,13 @@ type TenantDRR struct {
 
 	base      sim.Duration // one weight unit's per-round refill
 	defWeight int
-
-	// cost returns a grant's actual server occupancy (it may touch the LLC,
-	// so it runs exactly once, at serve time). deliver resumes the datapath
-	// once the server slot ending at done is owned.
-	cost    func(g grant) sim.Duration
-	deliver func(g grant, done sim.Time)
 }
 
-func newTenantDRR(n *NIC, srv *sim.Server, weights map[uint32]int, base sim.Duration,
-	cost func(grant) sim.Duration, deliver func(grant, sim.Time)) *TenantDRR {
+// newTenantDRR builds a scheduler over srv. A grant's kind names its
+// estimated and actual cost and the datapath continuation it resumes
+// (NIC.grantEst, NIC.grantCost, NIC.resume); the scheduler itself only picks
+// the order.
+func newTenantDRR(n *NIC, srv *sim.Server, weights map[uint32]int, base sim.Duration) *TenantDRR {
 	if base < 1 {
 		base = 1
 	}
@@ -150,8 +109,6 @@ func newTenantDRR(n *NIC, srv *sim.Server, weights map[uint32]int, base sim.Dura
 		qs:        make(map[uint32]*tenantQ, len(weights)),
 		base:      base,
 		defWeight: 1,
-		cost:      cost,
-		deliver:   deliver,
 	}
 	d.pumpFn = d.pump
 	ids := make([]uint32, 0, len(weights))
@@ -199,6 +156,7 @@ func (d *TenantDRR) Request(g grant) {
 		d.serve(q, g, now)
 		return
 	}
+	g.est = d.nic.grantEst(g)
 	q.push(g)
 	d.backlog++
 	if !q.queued {
@@ -219,13 +177,16 @@ func (d *TenantDRR) Charge(tenant uint32, dur sim.Duration) {
 	d.queue(tenant).deficit -= int64(dur)
 }
 
-func (d *TenantDRR) serve(q *tenantQ, g grant, now sim.Time) {
-	cost := d.cost(g)
+// serve owns the server for one grant, accounts it to its tenant and resumes
+// the datapath; it returns the actual cost and when the slot ends.
+func (d *TenantDRR) serve(q *tenantQ, g grant, now sim.Time) (sim.Duration, sim.Time) {
+	cost := d.nic.grantCost(g)
 	_, done := d.srv.Acquire(now, cost)
 	q.grants++
 	q.work += cost
 	q.wait += now.Sub(g.enq)
-	d.deliver(g, done)
+	d.nic.resume(g, done)
+	return cost, done
 }
 
 // schedule keeps exactly one pending pump event against the server.
@@ -256,15 +217,10 @@ func (d *TenantDRR) pump() {
 	if !ok {
 		return
 	}
-	cost := d.cost(g)
+	cost, done := d.serve(q, g, now)
 	// True-up: the deficit was charged the estimate at selection; bill the
 	// difference so tenants pay actual occupancy (DDIO misses included).
 	q.deficit -= int64(cost) - int64(g.est)
-	_, done := d.srv.Acquire(now, cost)
-	q.grants++
-	q.work += cost
-	q.wait += now.Sub(g.enq)
-	d.deliver(g, done)
 	if d.backlog > 0 {
 		d.schedule(done)
 	}
@@ -370,8 +326,8 @@ func newTenantSched(n *NIC, weights map[uint32]int) *TenantSched {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	// Quanta: one weight unit buys one full frame per round on each resource.
-	s.Pipe = newTenantDRR(n, n.pipeline, s.weights, n.pipeOccupancy(1514), s.pipeCost, s.pipeGrant)
-	s.DMA = newTenantDRR(n, n.dma, s.weights, n.model.DMA(64+1514), s.dmaCostOf, s.dmaGrant)
+	s.Pipe = newTenantDRR(n, n.pipeline, s.weights, n.pipeOccupancy(1514))
+	s.DMA = newTenantDRR(n, n.dma, s.weights, n.model.DMA(64+1514))
 	// FIFO shares: weight-proportional with a floor, so even the lightest
 	// tenant can absorb a small burst.
 	s.defRxW = maxInt(8, n.rxWindow/(4*maxInt(1, s.total)))
@@ -396,134 +352,6 @@ func (s *TenantSched) rxQueue(tenant uint32) *tenantRx {
 	copy(s.rxOrder[i+1:], s.rxOrder[i:])
 	s.rxOrder[i] = tenant
 	return r
-}
-
-// pipeCost: the pipeline's occupancy is frame-length-determined, so the
-// estimate is exact.
-func (s *TenantSched) pipeCost(g grant) sim.Duration { return g.est }
-
-// dmaCostOf computes the DMA engine occupancy at serve time — this is where
-// the descriptor's DDIO fate (per-tenant partition included) is decided.
-func (s *TenantSched) dmaCostOf(g grant) sim.Duration {
-	if g.kind == reqTxFetch {
-		return s.n.dmaCost(g.c, g.c.TX, g.index, g.frame, false)
-	}
-	return s.n.dmaCost(g.c, g.c.RX, g.index, g.frame, true)
-}
-
-// dmaGrant resumes the datapath after a DMA grant: TX fetches continue the
-// connection's drain chain and deliver the frame to the egress pipeline after
-// the PCIe flight; RX stores become host-visible after the same flight.
-func (s *TenantSched) dmaGrant(g grant, done sim.Time) {
-	n := s.n
-	switch g.kind {
-	case reqTxFetch:
-		c, p, frame, prod := g.c, g.p, g.frame, g.prod
-		n.eng.At(done, func() { n.drainTx(c) })
-		n.eng.At(done.Add(n.model.DMALatency), func() { n.txArrive(c, p, frame, prod) })
-	default: // reqRxDMA
-		c, p, index := g.c, g.p, g.index
-		n.eng.At(done.Add(n.model.DMALatency), func() { n.rxComplete(c, p, index) })
-	}
-}
-
-// pipeGrant resumes the datapath after a pipeline grant: the overlay runs now
-// (its cycles billed to the owning tenant), and the frame leaves the pipeline
-// once the granted occupancy plus program latency elapses.
-func (s *TenantSched) pipeGrant(g grant, done sim.Time) {
-	n := s.n
-	now := n.eng.Now()
-	lat := sim.Duration(n.model.NICPipeline)
-	switch g.kind {
-	case reqTxPipe:
-		c, p := g.c, g.p
-		if n.egress != nil {
-			verdict, cycles, trap := n.egress.Run(p, env{n: n, now: now, c: c})
-			if trap != nil {
-				if n.tracer != nil {
-					n.trace(p, now, "nic", "trap_fallback", "pipeline=egress: "+trap.Error())
-				}
-				verdict, cycles = n.trapFallback(Egress, p, env{n: n, now: now, c: c})
-			}
-			cyc := n.model.NICCycles(cycles)
-			lat += cyc
-			s.Pipe.Charge(p.Meta.Tenant, cyc)
-			if n.tracer != nil {
-				n.trace(p, now, "nic", "pipeline_egress", fmt.Sprintf("verdict=%v cycles=%d", verdict, cycles))
-			}
-			if verdict == overlay.VerdictDrop {
-				n.TxDropVerdict++
-				n.txSlotFree()
-				return
-			}
-		}
-		n.eng.At(done.Add(lat), func() { n.txEmit(c, p) })
-	default: // reqRxPipe
-		c, p := g.c, g.p
-		if n.ingress != nil {
-			if e, hit := n.fcLookup(p, c); hit {
-				// Fast path: single-lookup cost, billed to the tenant like
-				// any other pipeline-adjacent work.
-				cyc := n.model.NICCycles(1)
-				lat += cyc
-				s.Pipe.Charge(p.Meta.Tenant, cyc)
-				p.Meta.Mark = e.mark
-				p.Meta.Class = e.class
-				if n.tracer != nil {
-					n.trace(p, now, "nic", "flowcache_hit", fmt.Sprintf("verdict=%v hits=%d", e.verdict, e.hits))
-				}
-				if e.verdict == overlay.VerdictDrop {
-					n.RxDropVerdict++
-					n.rxRelease(p)
-					return
-				}
-			} else {
-				verdict, cycles, trap := n.ingress.Run(p, env{n: n, now: now, c: c})
-				trapped := trap != nil
-				if trapped {
-					if n.tracer != nil {
-						n.trace(p, now, "nic", "trap_fallback", "pipeline=ingress: "+trap.Error())
-					}
-					verdict, cycles = n.trapFallback(Ingress, p, env{n: n, now: now, c: c})
-				}
-				n.IngressProgCycles += uint64(cycles)
-				cyc := n.model.NICCycles(cycles)
-				if n.fc != nil && n.ingressCacheable && c != nil {
-					cyc += n.model.NICCycles(1) // the probe that missed
-				}
-				lat += cyc
-				s.Pipe.Charge(p.Meta.Tenant, cyc)
-				if n.tracer != nil {
-					n.trace(p, now, "nic", "pipeline_ingress", fmt.Sprintf("verdict=%v cycles=%d", verdict, cycles))
-				}
-				n.fcInstall(p, c, verdict, trapped)
-				if verdict == overlay.VerdictDrop {
-					n.RxDropVerdict++
-					n.rxRelease(p)
-					return
-				}
-			}
-		}
-		if c == nil {
-			at := done.Add(lat)
-			if n.SlowPath != nil {
-				n.RxSlowPath++
-				n.eng.At(at, func() {
-					n.rxRelease(p)
-					n.SlowPath(p, n.eng.Now())
-				})
-			} else {
-				n.RxDropNoSteer++
-				n.rxRelease(p)
-			}
-			return
-		}
-		frame := g.frame
-		n.eng.At(done.Add(lat), func() {
-			s.DMA.Request(grant{kind: reqRxDMA, c: c, p: p, index: c.RX.Head(),
-				frame: frame, est: n.model.DMA(64 + frame)})
-		})
-	}
 }
 
 // rxAdmit charges one ingress FIFO slot to a tenant; false means the tenant's

@@ -29,6 +29,9 @@ if [ -n "$undocumented" ]; then
 fi
 
 go test ./...
+# kopiperf is a module of its own that reads internal/nic's public counters,
+# so `go build ./...` above does not notice when a NIC change breaks it.
+(cd kopiperf && go vet ./... && go test ./...)
 # The pool defaults to GOMAXPROCS workers; force a wide pool so the race
 # pass exercises real interleavings even on small machines.
 NORMAN_WORKERS=8 go test -race -count=1 ./internal/sim/... ./internal/experiments/... ./internal/faults/...
