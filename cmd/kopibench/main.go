@@ -8,7 +8,7 @@
 //	kopibench -workers 4       # explicit worker count (implies -parallel)
 //	kopibench -e E3            # run one experiment
 //	kopibench -scale 0.3       # compress durations/sweeps for a quick pass
-//	kopibench -shards 8        # engine shards for E12–E16 (tables are shard-invariant)
+//	kopibench -shards 8        # engine shards for E12 (its table is shard-invariant)
 //	kopibench -json            # also write BENCH_E*.json + BENCH_ENGINE.json
 //	kopibench -outdir results  # where -json baselines land (default .)
 //	kopibench -list            # list experiments
@@ -37,7 +37,6 @@ import (
 	"runtime/pprof"
 
 	"norman/internal/experiments"
-	"norman/internal/mem"
 	"norman/internal/sim"
 	"norman/internal/stats"
 )
@@ -73,17 +72,17 @@ var registry = map[string]struct {
 	"E12": {"sharded within-world engine: 10k-1M connections, shard-count-invariant tables",
 		func(s experiments.Scale) *stats.Table { _, t := experiments.RunE12(s, e12Shards); return t }},
 	"E13": {"multi-tenant isolation: adversarial tenant vs victim p99, raw bypass vs governed KOPI",
-		func(s experiments.Scale) *stats.Table { _, t := experiments.RunE13(s, e12Shards); return t }},
+		func(s experiments.Scale) *stats.Table { _, t := experiments.RunE13(s); return t }},
 	"E14": {"flow-cache fast path: hit rate, interpreter cycles and tenant partitions vs a short-flow flood",
-		func(s experiments.Scale) *stats.Table { _, t := experiments.RunE14(s, e12Shards); return t }},
+		func(s experiments.Scale) *stats.Table { _, t := experiments.RunE14(s); return t }},
 	"E15": {"hardware fault tolerance: link flap, SRAM flip burst and trap storm vs health quarantine + slow-path failover, seeded by NORMAN_FAULT_SEED",
-		func(s experiments.Scale) *stats.Table { _, t := experiments.RunE15(s, e12Shards); return t }},
+		func(s experiments.Scale) *stats.Table { _, t := experiments.RunE15(s); return t }},
 	"E16": {"live upgrade vs bitstream respin: staged A/B cutover, canary-gated commit and automatic rollback under the E14 victim workload",
-		func(s experiments.Scale) *stats.Table { _, t := experiments.RunE16(s, e12Shards); return t }},
+		func(s experiments.Scale) *stats.Table { _, t := experiments.RunE16(s); return t }},
 }
 
-// e12Shards is the -shards flag: how many engine shards E12–E16 spread their
-// worlds over. The experiments' results are byte-identical at any value.
+// e12Shards is the -shards flag: how many engine shards E12 spreads its
+// buckets over. The table is byte-identical at any value.
 var e12Shards = 1
 
 // e9Telemetry is the observability sink E9 fills when -metrics-out is set
@@ -109,15 +108,6 @@ type engineRecord struct {
 	EventsPerSec float64 `json:"events_per_sec"`
 	AllocsPerOp  int64   `json:"allocs_per_op"`
 	BytesPerOp   int64   `json:"bytes_per_op"`
-
-	// Sharded batched ring-drain baseline: aggregate dataplane events/s
-	// when 8 lockstep shards each drain descriptor bursts instead of firing
-	// one heap event per packet. Speedup is against events_per_sec above.
-	ShardedShards       int     `json:"sharded_shards"`
-	ShardedBatch        int     `json:"sharded_batch"`
-	ShardedNsPerEvent   float64 `json:"sharded_ns_per_event"`
-	ShardedEventsPerSec float64 `json:"sharded_events_per_sec"`
-	ShardedSpeedup      float64 `json:"sharded_speedup"`
 }
 
 func main() {
@@ -130,7 +120,7 @@ func main() {
 	outdir := flag.String("outdir", ".", "directory -json baselines are written to")
 	metricsOut := flag.String("metrics-out", "", "write the E9 run's telemetry registry (Prometheus text) to this file")
 	pprofOut := flag.String("pprof", "", "write a CPU profile of the experiment runs to this file")
-	shards := flag.Int("shards", 1, "engine shards for E12–E16 (results are invariant across shard counts)")
+	shards := flag.Int("shards", 1, "engine shards for E12 (its table is invariant across shard counts)")
 	flag.Parse()
 	e12Shards = *shards
 
@@ -238,67 +228,8 @@ func main() {
 		rec := engineBaseline()
 		fmt.Printf("--- %.1f ns/event, %.1f Mevents/s, %d allocs/op\n",
 			rec.NsPerEvent, rec.EventsPerSec/1e6, rec.AllocsPerOp)
-		fmt.Printf("=== engine: sharded batched ring-drain microbenchmark (%d shards, batch %d)\n",
-			shardedBenchShards, shardedBenchBatch)
-		rec.ShardedShards = shardedBenchShards
-		rec.ShardedBatch = shardedBenchBatch
-		rec.ShardedNsPerEvent = shardedBaseline()
-		rec.ShardedEventsPerSec = 1e9 / rec.ShardedNsPerEvent
-		rec.ShardedSpeedup = rec.ShardedEventsPerSec / rec.EventsPerSec
-		fmt.Printf("--- %.1f ns/event, %.1f Mevents/s aggregate, %.1fx single-loop dispatch\n",
-			rec.ShardedNsPerEvent, rec.ShardedEventsPerSec/1e6, rec.ShardedSpeedup)
 		writeJSON(filepath.Join(*outdir, "BENCH_ENGINE.json"), rec)
 	}
-}
-
-// Sharded batched-drain baseline geometry: 8 lockstep shards, each draining
-// 256-descriptor bursts from its own ring into flyweight records (a 4 KB
-// scratch stays L1-resident; larger bursts spill and run slower).
-const (
-	shardedBenchShards = 8
-	shardedBenchBatch  = 256
-)
-
-// shardedBaseline measures the aggregate dataplane event rate of the
-// sharded engine's batched path: every shard runs a self-sustaining drain
-// loop — pop a burst, update the flyweight slab per descriptor, recycle the
-// burst — with the engine's fired counter credited per descriptor
-// (sim.Engine.AddFired), the same accounting the QueueGroup receive path
-// uses. Returns wall nanoseconds per dataplane event.
-func shardedBaseline() float64 {
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		quota := b.N/shardedBenchShards + 1
-		s := sim.NewSharded(shardedBenchShards, shardedBenchShards, 2*sim.Microsecond)
-		for sh := 0; sh < shardedBenchShards; sh++ {
-			eng := s.Engine(sh)
-			ring := mem.NewBurstRing(8*shardedBenchBatch, 0)
-			slab := mem.NewConnSlab(1024, 0)
-			scratch := make([]mem.PktRef, shardedBenchBatch)
-			for i := 0; i < shardedBenchBatch; i++ {
-				ring.Push(mem.PktRef{Conn: uint32(i % 1024), Len: 300})
-			}
-			done := 0
-			var drain func()
-			drain = func() {
-				m := ring.PopBurst(scratch)
-				for i := range scratch[:m] {
-					d := &scratch[i]
-					slab.RxPkts[d.Conn]++
-					slab.RxBytes[d.Conn] += uint64(d.Len)
-				}
-				ring.PushBurst(scratch[:m])
-				eng.AddFired(m - 1)
-				done += m
-				if done < quota {
-					eng.After(100*sim.Nanosecond, drain)
-				}
-			}
-			eng.At(0, drain)
-		}
-		s.Run()
-	})
-	return float64(r.T.Nanoseconds()) / float64(r.N)
 }
 
 // engineBaseline measures raw event dispatch in-process (the same loop as

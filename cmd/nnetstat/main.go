@@ -7,9 +7,7 @@
 // control-plane up/down state, and the last reconciliation (diff clean or
 // not, invariants, repairs). With -pressure it reports the overload
 // governor: watchdog health state, admission budgets and rejections, and
-// shed/backpressure accounting. With -shards it reports the engine shard
-// coordinator: per-shard event counts, mailbox traffic and depths, and
-// barrier epoch/stall accounting. With -tenants it reports the multi-tenant
+// shed/backpressure accounting. With -tenants it reports the multi-tenant
 // isolation machinery: per-tenant scheduler grants, scheduler queue waits,
 // DDIO partition hits and misses, and governor budgets and health. With
 // -flows it reports the NIC's exact-match flow cache: occupancy, hit/miss
@@ -36,7 +34,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "with -metrics: render JSON instead of Prometheus text")
 	recoveryFlag := flag.Bool("recovery", false, "show the daemon's crash-recovery status (journal, last reconciliation)")
 	pressure := flag.Bool("pressure", false, "show the daemon's overload-governor status (watchdog state, admission, shedding)")
-	shardsFlag := flag.Bool("shards", false, "show the daemon's engine shard coordinator (per-shard events, mailboxes, barrier stalls)")
 	tenantsFlag := flag.Bool("tenants", false, "show the daemon's per-tenant isolation status (scheduler grants, DDIO partition, budgets)")
 	flowsFlag := flag.Bool("flows", false, "show the NIC flow-cache status (occupancy, hit/miss, per-tenant partitions)")
 	healthFlag := flag.Bool("health", false, "show the NIC hardware-health monitor (component states, quarantines, failovers)")
@@ -168,26 +165,6 @@ func main() {
 				r.Tenant, r.Weight, r.State, r.Conns, r.PipeGrants, r.DMAGrants, r.FifoDrops)
 			fmt.Printf("    waits: pipe %dns, dma %dns; ddio: %d ways, %d hits / %d misses; ring %d / %d bytes, %d transitions\n",
 				r.PipeWaitNs, r.DMAWaitNs, r.DDIOWays, r.DDIOHits, r.DDIOMisses, r.RingBytes, r.RingBudget, r.Transitions)
-		}
-		return
-	}
-
-	if *shardsFlag {
-		var data ctl.ShardsData
-		if err := c.Call(ctl.OpShards, nil, &data); err != nil {
-			fatal(err)
-		}
-		if !data.Sharded {
-			fmt.Println("engine: unsharded (1 engine)")
-		} else {
-			fmt.Printf("engine: %d shards over %d buckets, epoch %s\n",
-				data.Shards, data.Buckets, data.Epoch)
-			fmt.Printf("barrier: %d epochs, %d mailbox events delivered\n",
-				data.Epochs, data.Delivered)
-		}
-		for _, r := range data.Rows {
-			fmt.Printf("  shard %d: %d events, mail %d sent / %d recv / %d pending, %d stalls\n",
-				r.Shard, r.Events, r.MailSent, r.MailRecv, r.Pending, r.Stalls)
 		}
 		return
 	}

@@ -11,7 +11,7 @@
 // Usage:
 //
 //	normand [-arch kopi|kernelstack|bypass|sidecar|hypervisor]
-//	        [-socket /tmp/normand.sock] [-flood] [-shards N]
+//	        [-socket /tmp/normand.sock] [-flood]
 package main
 
 import (
@@ -36,10 +36,9 @@ func main() {
 	flood := flag.Bool("flood", false, "include the buggy ARP-flooding daemon (the §2 debugging scenario)")
 	journalPath := flag.String("journal", "", "persist the control-plane intent journal to this file; an existing journal is replayed on start (SIGKILL recovery)")
 	journalCompact := flag.Int("journal-compact", 4096, "compact the journal on restart once it holds at least this many entries (0 disables)")
-	shards := flag.Int("shards", 1, "engine shards for the world (>1 runs the lockstep barrier coordinator; inspect with nnetstat -shards)")
 	flag.Parse()
 
-	sys := norman.New(norman.Architecture(*archName), norman.WithShards(*shards))
+	sys := norman.New(norman.Architecture(*archName))
 	// Recovery before anything mutates: every dial and policy below lands
 	// in the intent journal, so a SIGKILL'd daemon restarted with the same
 	// -journal reconciles instead of starting blind.

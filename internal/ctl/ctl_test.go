@@ -11,9 +11,9 @@ import (
 )
 
 // startServer brings up a daemon around a live KOPI system on a test socket.
-func startServer(t *testing.T, opts ...norman.Option) (*Client, *norman.System) {
+func startServer(t *testing.T) (*Client, *norman.System) {
 	t.Helper()
-	sys := norman.New(norman.KOPI, opts...)
+	sys := norman.New(norman.KOPI)
 	net := wire.NewNetwork(sys.Arch())
 	net.AddEndpoint(sys.World().PeerIP, sys.World().PeerMAC, wire.EchoUDP)
 	alice := sys.AddUser(1000, "alice")
@@ -345,63 +345,6 @@ func TestTelemetryDisabled(t *testing.T) {
 	}
 	if _, err := srv.dispatch(Request{Op: OpTrace}); err == nil {
 		t.Fatal("trace.get without tracing must error")
-	}
-}
-
-// TestShardsOp pins the engine.shards op on an unsharded daemon: Sharded is
-// false but one synthetic row still reports the single engine's event count,
-// so nnetstat -shards never needs a second code path.
-func TestShardsOp(t *testing.T) {
-	c, _ := startServer(t)
-	var data ShardsData
-	if err := c.Call(OpShards, nil, &data); err != nil {
-		t.Fatal(err)
-	}
-	if data.Sharded {
-		t.Fatal("unsharded daemon reported sharded")
-	}
-	if data.Shards != 1 || len(data.Rows) != 1 || data.Rows[0].Shard != 0 {
-		t.Fatalf("want one synthetic row for shard 0, got %+v", data)
-	}
-	var st StatusData
-	if err := c.Call(OpAdvance, AdvanceArgs{Millis: 5}, &st); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Call(OpShards, nil, &data); err != nil {
-		t.Fatal(err)
-	}
-	if data.Rows[0].Events == 0 {
-		t.Fatal("no events counted after advance")
-	}
-}
-
-// TestShardsOpSharded runs the daemon's world under the barrier coordinator
-// and checks the op reports the full per-shard snapshot.
-func TestShardsOpSharded(t *testing.T) {
-	c, _ := startServer(t, norman.WithShards(4))
-	var st StatusData
-	if err := c.Call(OpAdvance, AdvanceArgs{Millis: 5}, &st); err != nil {
-		t.Fatal(err)
-	}
-	var data ShardsData
-	if err := c.Call(OpShards, nil, &data); err != nil {
-		t.Fatal(err)
-	}
-	if !data.Sharded || data.Shards != 4 || len(data.Rows) != 4 {
-		t.Fatalf("want 4 shards, got %+v", data)
-	}
-	if data.Epoch == "" || data.Epochs == 0 {
-		t.Fatalf("barrier accounting missing: %+v", data)
-	}
-	var events uint64
-	for i, r := range data.Rows {
-		if r.Shard != i {
-			t.Fatalf("row %d reports shard %d", i, r.Shard)
-		}
-		events += r.Events
-	}
-	if events == 0 {
-		t.Fatal("no events counted across shards after advance")
 	}
 }
 

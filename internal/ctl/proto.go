@@ -45,7 +45,6 @@ const (
 	OpRecovery      = "recovery.status"
 	OpOverload      = "overload.status"
 	OpTenants       = "tenant.status"
-	OpShards        = "engine.shards"
 	OpFlowCache     = "flowcache.status"
 	OpHealth        = "health.status"
 	OpUpgradeStart  = "upgrade.start"
@@ -60,7 +59,7 @@ func IdempotentOp(op string) bool {
 	switch op {
 	case OpStatus, OpIPTablesList, OpTCShow, OpDumpFetch, OpDumpPcap,
 		OpNetstat, OpARP, OpTelemetry, OpTrace, OpRecovery, OpOverload,
-		OpTenants, OpShards, OpFlowCache, OpHealth, OpUpgradeStatus:
+		OpTenants, OpFlowCache, OpHealth, OpUpgradeStatus:
 		return true
 	}
 	return false
@@ -339,30 +338,6 @@ type UpgradeData struct {
 	PauseBuffered  uint64 `json:"pause_buffered,omitempty"`
 	PauseDrops     uint64 `json:"pause_drops,omitempty"`
 	LastRollback   string `json:"last_rollback,omitempty"`
-}
-
-// ShardsData is the engine shard coordinator's snapshot (engine.shards).
-// Sharded reports whether the daemon's world runs under a coordinator; an
-// unsharded daemon still answers with one synthetic row for its single
-// engine so tooling never needs two code paths.
-type ShardsData struct {
-	Sharded   bool       `json:"sharded"`
-	Shards    int        `json:"shards"`
-	Buckets   int        `json:"buckets,omitempty"`
-	Epoch     string     `json:"epoch,omitempty"`
-	Epochs    uint64     `json:"epochs,omitempty"`
-	Delivered uint64     `json:"mailbox_delivered,omitempty"`
-	Rows      []ShardRow `json:"rows,omitempty"`
-}
-
-// ShardRow is one shard's counters within ShardsData.
-type ShardRow struct {
-	Shard    int    `json:"shard"`
-	Events   uint64 `json:"events"`
-	MailSent uint64 `json:"mail_sent"`
-	MailRecv uint64 `json:"mail_recv"`
-	Pending  int    `json:"mail_pending"`
-	Stalls   uint64 `json:"stalls"`
 }
 
 // Marshal is a helper for building requests.

@@ -213,8 +213,6 @@ func (s *Server) dispatch(req Request) (data json.RawMessage, err error) {
 		return s.overloadStatus()
 	case OpTenants:
 		return s.tenantStatus()
-	case OpShards:
-		return s.shardsStatus()
 	case OpFlowCache:
 		return s.flowcacheStatus()
 	case OpHealth:
@@ -610,36 +608,6 @@ func (s *Server) upgradeStatus() (json.RawMessage, error) {
 		PauseDrops:     st.PauseDrops,
 		LastRollback:   st.LastRollback,
 	})
-}
-
-// shardsStatus reports the engine shard coordinator's counters
-// (engine.shards). An unsharded daemon answers Sharded=false with one
-// synthetic row for its single engine rather than erroring, so
-// nnetstat -shards degrades gracefully.
-func (s *Server) shardsStatus() (json.RawMessage, error) {
-	st := s.sys.ShardStats()
-	data := ShardsData{
-		Sharded:   st.Sharded,
-		Shards:    st.Shards,
-		Buckets:   st.Buckets,
-		Epochs:    st.Epochs,
-		Delivered: st.Delivered,
-		Rows:      make([]ShardRow, len(st.Rows)),
-	}
-	if st.Sharded {
-		data.Epoch = st.Epoch.String()
-	}
-	for i, r := range st.Rows {
-		data.Rows[i] = ShardRow{
-			Shard:    r.Shard,
-			Events:   r.Events,
-			MailSent: r.MailSent,
-			MailRecv: r.MailRecv,
-			Pending:  r.Pending,
-			Stalls:   r.Stalls,
-		}
-	}
-	return marshal(data)
 }
 
 // RegisterMetrics exposes the control plane's own request accounting on a

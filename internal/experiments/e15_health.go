@@ -53,19 +53,15 @@ const (
 // payloads at 12.5 Gbps through the cacheable ACL) on kernelstack, bypass and
 // kopi while the fault schedule fires. Only kopi runs the health monitor —
 // that is the point: the monitor's failover target is the kernel
-// interposition slow path, which the other architectures do not have. shards
-// is execution-only; every cell is byte-identical at any shard or worker
-// width (TestE15Determinism).
-func RunE15(scale Scale, shards int) ([]E15Point, *stats.Table) {
-	if shards < 1 {
-		shards = 1
-	}
+// interposition slow path, which the other architectures do not have. Every
+// cell is byte-identical at any worker width (TestWorkerWidthDeterminism).
+func RunE15(scale Scale) ([]E15Point, *stats.Table) {
 	archs := []string{"kernelstack", "bypass", "kopi"}
 	points := make([]E15Point, len(archs))
 	r := NewRunner()
 	for i, name := range archs {
 		i, name := i, name
-		r.Go(func() { points[i] = e15Run(name, scale, shards) })
+		r.Go(func() { points[i] = e15Run(name, scale) })
 	}
 	r.Wait()
 
@@ -83,9 +79,9 @@ func RunE15(scale Scale, shards int) ([]E15Point, *stats.Table) {
 
 // e15Run offers the victim workload on one architecture under the fault
 // schedule and reports delivery, corruption and health accounting.
-func e15Run(archName string, scale Scale, shards int) E15Point {
+func e15Run(archName string, scale Scale) E15Point {
 	model := timing.Default()
-	a := arch.New(archName, arch.WorldConfig{Model: model, RingSize: e14RingSize, Shards: shards})
+	a := arch.New(archName, arch.WorldConfig{Model: model, RingSize: e14RingSize})
 	w := a.World()
 	w.Peer = func(*packet.Packet, sim.Time) {}
 
@@ -175,13 +171,8 @@ func e15Run(archName string, scale Scale, shards int) E15Point {
 		Until:    sim.Time(dur),
 	}
 	gen.Start(0)
-	if w.Coord != nil {
-		w.Coord.RunUntil(sim.Time(dur))
-		w.Coord.Run()
-	} else {
-		w.Eng.RunUntil(sim.Time(dur))
-		w.Eng.Run()
-	}
+	w.Eng.RunUntil(sim.Time(dur))
+	w.Eng.Run()
 
 	p := E15Point{
 		Arch:          archName,

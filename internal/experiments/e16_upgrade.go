@@ -74,18 +74,15 @@ func e16BadSource() string { return "drop\n" }
 // RunE16 drives the victim workload through the upgrade schedule on
 // kernelstack, bypass and kopi. Only kopi runs the upgrade manager — that is
 // the point: the kernel stack does not need one and raw bypass has no layer
-// that could even sequence a staged cutover. shards is execution-only; every
-// cell is byte-identical at any shard or worker width (TestE16Determinism).
-func RunE16(scale Scale, shards int) ([]E16Point, *stats.Table) {
-	if shards < 1 {
-		shards = 1
-	}
+// that could even sequence a staged cutover. Every cell is byte-identical at
+// any worker width (TestWorkerWidthDeterminism).
+func RunE16(scale Scale) ([]E16Point, *stats.Table) {
 	archs := []string{"kernelstack", "bypass", "kopi"}
 	points := make([]E16Point, len(archs))
 	r := NewRunner()
 	for i, name := range archs {
 		i, name := i, name
-		r.Go(func() { points[i] = e16Run(name, scale, shards) })
+		r.Go(func() { points[i] = e16Run(name, scale) })
 	}
 	r.Wait()
 
@@ -103,9 +100,9 @@ func RunE16(scale Scale, shards int) ([]E16Point, *stats.Table) {
 
 // e16Run offers the victim workload on one architecture through the upgrade
 // schedule and reports delivery, outage, handover and rollback accounting.
-func e16Run(archName string, scale Scale, shards int) E16Point {
+func e16Run(archName string, scale Scale) E16Point {
 	model := timing.Default()
-	a := arch.New(archName, arch.WorldConfig{Model: model, RingSize: e14RingSize, Shards: shards})
+	a := arch.New(archName, arch.WorldConfig{Model: model, RingSize: e14RingSize})
 	w := a.World()
 	w.Peer = func(*packet.Packet, sim.Time) {}
 
@@ -240,13 +237,8 @@ func e16Run(archName string, scale Scale, shards int) E16Point {
 		Until:    sim.Time(dur),
 	}
 	gen.Start(0)
-	if w.Coord != nil {
-		w.Coord.RunUntil(sim.Time(dur))
-		w.Coord.Run()
-	} else {
-		w.Eng.RunUntil(sim.Time(dur))
-		w.Eng.Run()
-	}
+	w.Eng.RunUntil(sim.Time(dur))
+	w.Eng.Run()
 
 	// The final gap: a dataplane that went dark partway through the run shows
 	// it here even though no delivery follows.

@@ -236,6 +236,9 @@ func (m *Monitor) Start(until sim.Time) {
 	m.eng.After(m.cfg.sampleEvery(), func() { m.tick(gen) })
 }
 
+// Until returns the horizon the sampler was last armed with (0 = forever).
+func (m *Monitor) Until() sim.Time { return m.until }
+
 // Stop halts the sampler; in-flight ticks become no-ops. Component states
 // (and any active quarantine actions) are retained.
 func (m *Monitor) Stop() {

@@ -433,6 +433,10 @@ func (g *Governor) Start(until sim.Time) {
 	g.eng.After(g.cfg.sampleEvery(), func() { g.tick(gen) })
 }
 
+// Until returns the horizon the watchdog was last started with (0 = run
+// until Stop).
+func (g *Governor) Until() sim.Time { return g.until }
+
 // Stop halts the watchdog; in-flight ticks become no-ops. The health state
 // is retained.
 func (g *Governor) Stop() {

@@ -91,12 +91,6 @@ func WithoutCacheModel() Option {
 	return func(c *config) { c.world.NoLLC = true }
 }
 
-// WithShards runs the world's engine as n lockstep shards under a barrier
-// coordinator (DESIGN.md §8). n ≤ 1 keeps the classic single engine.
-func WithShards(n int) Option {
-	return func(c *config) { c.world.Shards = n }
-}
-
 // User is a system user handle.
 type User struct {
 	UID  uint32
@@ -190,10 +184,11 @@ func (s *System) Spawn(u *User, command string) *Process {
 func (s *System) Now() Duration { return sim.Duration(s.w.Eng.Now()) }
 
 // Run executes queued events until the simulation drains and returns the
-// final virtual time. A running overload watchdog is paused for the drain
-// (its self-rescheduling timer would otherwise keep the engine busy forever)
-// and resumed afterwards; use RunFor for bounded stepping with the watchdog
-// live.
+// final virtual time. Running samplers (overload watchdog, health monitor,
+// upgrade canary) are paused for the drain — their self-rescheduling timers
+// would otherwise keep the engine busy forever — and resumed afterwards, each
+// with the horizon it was started with; use RunFor for bounded stepping with
+// the samplers live.
 func (s *System) Run() Duration {
 	resume := s.gov != nil && s.gov.Running()
 	if resume {
@@ -207,29 +202,28 @@ func (s *System) Run() Duration {
 	if resumeUp {
 		s.up.Stop()
 	}
-	var t Duration
-	if s.w.Coord != nil {
-		t = sim.Duration(s.w.Coord.Run())
-	} else {
-		t = sim.Duration(s.w.Eng.Run())
+	t := s.w.Eng.Run()
+	if resume && beforeHorizon(t, s.gov.Until()) {
+		s.gov.Start(s.gov.Until())
 	}
-	if resume {
-		s.gov.Start(0)
+	if resumeHM && beforeHorizon(t, s.hm.Until()) {
+		s.hm.Start(s.hm.Until())
 	}
-	if resumeHM {
-		s.hm.Start(0)
-	}
+	// The canary keeps its window end across Stop; a window that closed
+	// during the drain commits at the first resumed sample.
 	if resumeUp {
 		s.up.Start(0)
 	}
-	return t
+	return sim.Duration(t)
 }
+
+// beforeHorizon reports whether a sampler bounded by until (0 = never)
+// still has time left at now; one whose horizon a drain ran past stays
+// stopped.
+func beforeHorizon(now, until sim.Time) bool { return until == 0 || now.Before(until) }
 
 // RunFor executes events up to d of virtual time.
 func (s *System) RunFor(d Duration) Duration {
-	if s.w.Coord != nil {
-		return sim.Duration(s.w.Coord.RunUntil(s.w.Coord.Now().Add(d)))
-	}
 	return sim.Duration(s.w.Eng.RunUntil(s.w.Eng.Now().Add(d)))
 }
 
@@ -307,60 +301,6 @@ func (s *System) Telemetry() *telemetry.Registry { return s.reg }
 
 // Tracer returns the packet-lifecycle tracer, nil before EnableTelemetry.
 func (s *System) Tracer() *telemetry.Tracer { return s.w.Tracer }
-
-// ShardStat is one engine shard's counters in a ShardStats snapshot.
-type ShardStat struct {
-	Shard    int
-	Events   uint64
-	MailSent uint64
-	MailRecv uint64
-	Pending  int
-	Stalls   uint64
-}
-
-// ShardStats is the engine shard coordinator's snapshot. An unsharded
-// system reports Sharded=false with one synthetic row for its single
-// engine, so callers (the ctl server, nnetstat) never need two code paths.
-type ShardStats struct {
-	Sharded   bool
-	Shards    int
-	Buckets   int
-	Epoch     Duration
-	Epochs    uint64
-	Delivered uint64
-	Rows      []ShardStat
-}
-
-// ShardStats snapshots the shard coordinator's counters.
-func (s *System) ShardStats() ShardStats {
-	c := s.w.Coord
-	if c == nil {
-		return ShardStats{
-			Shards: 1,
-			Rows:   []ShardStat{{Shard: 0, Events: s.w.Eng.Fired()}},
-		}
-	}
-	st := ShardStats{
-		Sharded:   true,
-		Shards:    c.Shards(),
-		Buckets:   c.Buckets(),
-		Epoch:     c.Epoch(),
-		Epochs:    c.Epochs(),
-		Delivered: c.Delivered(),
-		Rows:      make([]ShardStat, c.Shards()),
-	}
-	for i := range st.Rows {
-		st.Rows[i] = ShardStat{
-			Shard:    i,
-			Events:   c.ShardFired(i),
-			MailSent: c.MailSent(i),
-			MailRecv: c.MailRecv(i),
-			Pending:  c.MailPending(i),
-			Stalls:   c.Stalls(i),
-		}
-	}
-	return st
-}
 
 // World exposes the underlying simulation world for advanced use (bench
 // harnesses, custom peers). Most callers never need it.

@@ -5,6 +5,10 @@ import (
 	"testing"
 
 	"norman"
+	"norman/internal/health"
+	"norman/internal/overload"
+	"norman/internal/sim"
+	"norman/internal/upgrade"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -263,5 +267,68 @@ func TestPingAPI(t *testing.T) {
 	bp := norman.New(norman.Bypass)
 	if err := bp.Ping("10.0.0.2", nil); err == nil {
 		t.Fatal("bypass ping must fail")
+	}
+}
+
+// TestRunKeepsSamplerHorizons: Run pauses the overload watchdog, the health
+// monitor and the upgrade canary for its drain, then resumes each with the
+// horizon it was started with. A 50µs watchdog or monitor must not outlive
+// 50µs because a drain came in between, and one whose horizon the drain ran
+// past stays stopped; the canary still resolves when its window closes.
+func TestRunKeepsSamplerHorizons(t *testing.T) {
+	const (
+		horizon = 50 * sim.Microsecond
+		period  = 5 * sim.Microsecond
+	)
+	for _, tc := range []struct {
+		name     string
+		drainEnd sim.Duration // last queued event before Run; 0 = idle drain
+	}{
+		{"drain_before_horizon", 0},
+		{"drain_past_horizon", 2 * horizon},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := norman.New(norman.KOPI)
+			gov := sys.EnableOverload(overload.Config{SampleEvery: period})
+			hm := sys.EnableHealth(health.Config{SampleEvery: period})
+			up := sys.EnableLiveUpgrade(upgrade.Config{CanaryWindow: horizon, SampleEvery: period})
+			gov.Start(sim.Time(horizon))
+			hm.Start(sim.Time(horizon))
+			if err := sys.StartLiveUpgrade(); err != nil {
+				t.Fatal(err)
+			}
+			sys.RunFor(sim.Microsecond) // past the cutover's MMIO pause: the canary is open
+			if !gov.Running() || !hm.Running() || !up.Running() {
+				t.Fatalf("samplers not all armed before Run: gov=%v hm=%v canary=%v",
+					gov.Running(), hm.Running(), up.Running())
+			}
+			if tc.drainEnd > 0 {
+				sys.At(tc.drainEnd, func() {})
+			}
+
+			sys.Run()
+			if end := sys.Now(); (tc.drainEnd == 0 && end >= horizon) || (tc.drainEnd > 0 && end != tc.drainEnd) {
+				t.Fatalf("Run drained to %v", end)
+			}
+			if tc.drainEnd > 0 && (gov.Running() || hm.Running()) {
+				t.Errorf("sampler re-armed after the drain passed its horizon: gov=%v hm=%v",
+					gov.Running(), hm.Running())
+			}
+			sys.RunFor(10 * horizon)
+
+			if gov.Running() {
+				t.Error("overload watchdog still running past its horizon")
+			}
+			if hm.Running() {
+				t.Error("health monitor still running past its horizon")
+			}
+			if max := uint64(horizon / period); hm.Samples > max {
+				t.Errorf("health monitor took %d samples, want at most %d within its horizon", hm.Samples, max)
+			}
+			if up.Running() || up.Phase() != upgrade.Committed {
+				t.Errorf("canary running=%v phase=%v, want committed once its window closed",
+					up.Running(), up.Phase())
+			}
+		})
 	}
 }

@@ -214,48 +214,4 @@ go build -race -o "$tmp/kopibench" ./cmd/kopibench
 "$tmp/kopibench" -e E12 -scale 0.002 -shards 8 | grep -v '^\(===\|---\)' >"$tmp/e12.shards8"
 diff "$tmp/e12.shards1" "$tmp/e12.shards8"
 
-# E13 shard-determinism smoke: the isolation table is also an invariant of
-# the execution layout — 1 engine vs 2 lockstep shards, byte-identical.
-"$tmp/kopibench" -e E13 -scale 0.12 -shards 1 | grep -v '^\(===\|---\)' >"$tmp/e13.shards1"
-"$tmp/kopibench" -e E13 -scale 0.12 -shards 2 | grep -v '^\(===\|---\)' >"$tmp/e13.shards2"
-diff "$tmp/e13.shards1" "$tmp/e13.shards2"
-
-# E14 shard-determinism smoke: the flow-cache table (clock hands, partition
-# quotas, per-tenant counters) is likewise an invariant of the execution
-# layout — 1 engine vs 2 lockstep shards, byte-identical.
-"$tmp/kopibench" -e E14 -scale 0.12 -shards 1 | grep -v '^\(===\|---\)' >"$tmp/e14.shards1"
-"$tmp/kopibench" -e E14 -scale 0.12 -shards 2 | grep -v '^\(===\|---\)' >"$tmp/e14.shards2"
-diff "$tmp/e14.shards1" "$tmp/e14.shards2"
-
-# E15 shard-determinism smoke: the hardware-fault table (fault schedule,
-# checksum detection, quarantine/failback cycle) is an invariant of the
-# execution layout too — 1 engine vs 2 lockstep shards at a pinned
-# non-default fault seed, byte-identical.
-NORMAN_FAULT_SEED=7 "$tmp/kopibench" -e E15 -scale 0.12 -shards 1 | grep -v '^\(===\|---\)' >"$tmp/e15.shards1"
-NORMAN_FAULT_SEED=7 "$tmp/kopibench" -e E15 -scale 0.12 -shards 2 | grep -v '^\(===\|---\)' >"$tmp/e15.shards2"
-diff "$tmp/e15.shards1" "$tmp/e15.shards2"
-
-# E16 shard-determinism smoke: the live-upgrade table (staged cutover,
-# pause buffering, canary verdicts, warm handover) is an invariant of the
-# execution layout too — 1 engine vs 2 lockstep shards at a pinned
-# non-default fault seed, byte-identical.
-NORMAN_FAULT_SEED=7 "$tmp/kopibench" -e E16 -scale 0.12 -shards 1 | grep -v '^\(===\|---\)' >"$tmp/e16.shards1"
-NORMAN_FAULT_SEED=7 "$tmp/kopibench" -e E16 -scale 0.12 -shards 2 | grep -v '^\(===\|---\)' >"$tmp/e16.shards2"
-diff "$tmp/e16.shards1" "$tmp/e16.shards2"
-
-# Sharded-daemon smoke: a daemon running its world on 4 engine shards must
-# serve the engine.shards op with per-shard rows through nnetstat -shards.
-"$tmp/normand" -socket "$tmp/sh.sock" -shards 4 &
-daemon_pid=$!
-i=0
-while [ ! -S "$tmp/sh.sock" ]; do
-	i=$((i + 1))
-	[ "$i" -le 100 ] || { echo "sharded normand never opened its socket" >&2; exit 1; }
-	sleep 0.1
-done
-"$tmp/ntcpdump" -socket "$tmp/sh.sock" -advance 5 udp >/dev/null
-"$tmp/nnetstat" -socket "$tmp/sh.sock" -shards | tee "$tmp/shards.out"
-grep -q "engine: 4 shards" "$tmp/shards.out"
-grep -q "shard 3:" "$tmp/shards.out"
-kill "$daemon_pid"
 echo "check.sh: all gates passed"
