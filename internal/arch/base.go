@@ -2,6 +2,7 @@ package arch
 
 import (
 	"norman/internal/filter"
+	"norman/internal/mem"
 	"norman/internal/packet"
 	"norman/internal/sim"
 )
@@ -12,12 +13,79 @@ type base struct {
 	deliver DeliverFunc
 	conns   map[uint64]*Conn // by kernel conn id
 
+	// steps recycles the continuation records of every scheduled host-side
+	// packet step (base.step); batches is the free stack of SendBatch's
+	// staging slices.
+	steps   *sim.Pool[hostArg]
+	batches [][]*packet.Packet
+
 	// Drops on the application TX path (ring full, no buffer).
 	TxAppDrops uint64
 }
 
-func newBase(w *World) base {
-	return base{w: w, conns: map[uint64]*Conn{}}
+// initBase sets b up on w. It must run on b's final location: the step pool
+// is bound to b.
+func (b *base) initBase(w *World) {
+	b.w = w
+	b.conns = map[uint64]*Conn{}
+	b.steps = sim.NewPool(w.Eng, b.step)
+}
+
+// hostStep names the host-side continuation a scheduled hostArg runs.
+type hostStep uint8
+
+const (
+	hostAppWork hostStep = iota // the app noticed the packet: charge its work on the app core
+	hostUpcall                  // app work done: hand the packet to the application
+	hostTxPush                  // Send's staging done: post the descriptor, ring the doorbell
+	hostTxBatch                 // SendBatch's staging done: post the burst, ring once
+	hostDrain                   // the kernel's wake landed: drain the connection's RX ring
+)
+
+// hostArg is the argument of every scheduled host-side step.
+type hostArg struct {
+	step  hostStep
+	c     *Conn
+	p     *packet.Packet
+	cost  sim.Duration     // app work, hostAppWork
+	batch []*packet.Packet // hostTxBatch, from b.batches
+}
+
+// step is the handler of every scheduled host-side event.
+func (b *base) step(a hostArg) {
+	now := b.w.Eng.Now()
+	switch a.step {
+	case hostAppWork:
+		_, done := b.w.Core(a.c.Info.PID).Acquire(now, a.cost)
+		b.steps.At(done, hostArg{step: hostUpcall, c: a.c, p: a.p})
+	case hostUpcall:
+		b.upcall(a.c, a.p, now)
+	case hostTxPush:
+		if b.postTx(a.c, a.p, now) {
+			b.w.NIC.DoorbellTx(a.c.NC)
+		}
+	case hostTxBatch:
+		for i, p := range a.batch {
+			b.postTx(a.c, p, now)
+			a.batch[i] = nil
+		}
+		b.batches = append(b.batches, a.batch[:0])
+		b.w.NIC.DoorbellTx(a.c.NC)
+	case hostDrain:
+		b.drainBlocked(a.c)
+	}
+}
+
+// postTx stages one descriptor in c's TX ring, counting an application drop
+// when the ring is full.
+func (b *base) postTx(c *Conn, p *packet.Packet, now sim.Time) bool {
+	if err := c.NC.TX.Push(mem.Desc{Pkt: p, Produced: now}); err != nil {
+		b.TxAppDrops++
+		b.trace(p, now, "ring", "tx_drop_full", "")
+		return false
+	}
+	b.trace(p, now, "ring", "tx_enqueue", "")
+	return true
 }
 
 // World implements Arch.
@@ -99,21 +167,29 @@ func (b *base) deliverPolled(c *Conn, p *packet.Packet, now sim.Time, appCost si
 	if free := core.FreeAt(); free > start {
 		start = free
 	}
-	b.w.Eng.At(start, func() {
-		_, done := core.Acquire(b.w.Eng.Now(), appCost)
-		b.w.Eng.At(done, func() { b.upcall(c, p, b.w.Eng.Now()) })
-	})
+	b.steps.At(start, hostArg{step: hostAppWork, c: c, p: p, cost: appCost})
 }
 
 // deliverWoken models a blocked app being woken by the kernel: context
 // switch on the app core, then processing.
 func (b *base) deliverWoken(c *Conn, p *packet.Packet, wakeAt sim.Time, appCost sim.Duration) {
+	b.steps.At(wakeAt, hostArg{step: hostAppWork, c: c, p: p, cost: sim.Duration(b.w.Model.ContextSwitch) + appCost})
+}
+
+// drainBlocked consumes every pending descriptor for a woken connection,
+// charging per-packet app costs sequentially on its core.
+func (b *base) drainBlocked(c *Conn) {
 	core := b.w.Core(c.Info.PID)
-	b.w.Eng.At(wakeAt, func() {
-		now := b.w.Eng.Now()
-		_, done := core.Acquire(now, sim.Duration(b.w.Model.ContextSwitch)+appCost)
-		b.w.Eng.At(done, func() { b.upcall(c, p, b.w.Eng.Now()) })
-	})
+	for {
+		slotAddr := c.NC.RX.TailAddr()
+		desc, err := c.NC.RX.Pop()
+		if err != nil {
+			return
+		}
+		p := desc.Pkt
+		_, done := core.Acquire(b.w.Eng.Now(), b.appRxCost(c, p, slotAddr))
+		b.steps.At(done, hostArg{step: hostUpcall, c: c, p: p})
+	}
 }
 
 // softFilterCost is the CPU time a software interposition layer spends

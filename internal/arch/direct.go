@@ -39,7 +39,7 @@ type direct struct {
 // final (heap) location of the struct: the NIC callbacks capture d, so a
 // copy after init would strand them on the old value.
 func (d *direct) init(w *World, trusted, processView bool) {
-	d.base = newBase(w)
+	d.initBase(w)
 	d.trusted = trusted
 	d.fw = filter.NewEngine(processView)
 	d.engine = core.Interposer{NIC: w.NIC, Kern: w.Kern, ProcessView: processView}
@@ -109,15 +109,7 @@ func (d *direct) Send(c *Conn, p *packet.Packet) {
 	d.traceStamp(p)
 	d.trace(p, now, "host", "syscall_send", "")
 	_, done := core.Acquire(now, cost)
-	d.w.Eng.At(done, func() {
-		if err := c.NC.TX.Push(mem.Desc{Pkt: p, Produced: d.w.Eng.Now()}); err != nil {
-			d.TxAppDrops++
-			d.trace(p, d.w.Eng.Now(), "ring", "tx_drop_full", "")
-			return
-		}
-		d.trace(p, d.w.Eng.Now(), "ring", "tx_enqueue", "")
-		d.w.NIC.DoorbellTx(c.NC)
-	})
+	d.steps.At(done, hostArg{step: hostTxPush, c: c, p: p})
 }
 
 // SendBatch stages a whole burst and rings the doorbell once — the
@@ -147,18 +139,15 @@ func (d *direct) SendBatch(c *Conn, pkts []*packet.Packet) {
 		d.trace(p, now, "host", "syscall_send", "batched")
 	}
 	_, done := core.Acquire(now, cost)
-	batch := append([]*packet.Packet(nil), pkts...)
-	d.w.Eng.At(done, func() {
-		for _, p := range batch {
-			if err := c.NC.TX.Push(mem.Desc{Pkt: p, Produced: d.w.Eng.Now()}); err != nil {
-				d.TxAppDrops++
-				d.trace(p, d.w.Eng.Now(), "ring", "tx_drop_full", "")
-				continue
-			}
-			d.trace(p, d.w.Eng.Now(), "ring", "tx_enqueue", "")
-		}
-		d.w.NIC.DoorbellTx(c.NC)
-	})
+	// The caller may reuse pkts once SendBatch returns, so the burst is
+	// copied into a staging slice from the free stack; the step returns it.
+	var batch []*packet.Packet
+	if n := len(d.batches) - 1; n >= 0 {
+		batch = d.batches[n]
+		d.batches[n] = nil
+		d.batches = d.batches[:n]
+	}
+	d.steps.At(done, hostArg{step: hostTxBatch, c: c, batch: append(batch, pkts...)})
 }
 
 // DeliverWire implements Arch.

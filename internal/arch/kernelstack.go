@@ -45,10 +45,8 @@ type KernelStack struct {
 
 // NewKernelStack builds the architecture on a world.
 func NewKernelStack(w *World) *KernelStack {
-	a := &KernelStack{
-		base: newBase(w),
-		fw:   filter.NewEngine(true),
-	}
+	a := &KernelStack{fw: filter.NewEngine(true)}
+	a.initBase(w)
 	a.fw.EnableConntrack(filter.NewConntrack(1<<16, 120*sim.Second))
 	// The kernel owns one NIC queue pair per softirq core; RSS spreads
 	// inbound flows across them (multi-queue NICs + RPS, as real kernels

@@ -149,9 +149,7 @@ func (a *KOPI) onNotify(nc *nic.Conn, kind mem.NotifyKind, at sim.Time) {
 	}
 	_, intrDone := a.w.KernCore().Acquire(at, sim.Duration(a.w.Model.Interrupt))
 	wakeAt := intrDone.Add(sim.Duration(a.w.Model.ContextSwitch))
-	a.w.Eng.At(wakeAt, func() {
-		a.drainBlocked(c)
-	})
+	a.steps.At(wakeAt, hostArg{step: hostDrain, c: c})
 }
 
 // Ping sends a kernel-originated ICMP echo through the NIC's management
@@ -173,21 +171,4 @@ func (a *KOPI) Ping(dst packet.IPv4, payload int, done func(sim.Duration, bool))
 // arrived meanwhile drained by that single wake.
 func (a *KOPI) SetRxCoalesce(c *Conn, d sim.Duration) {
 	c.NC.NotifyCoalesce = d
-}
-
-// drainBlocked consumes every pending descriptor for a woken connection,
-// charging per-packet app costs sequentially on its core.
-func (a *KOPI) drainBlocked(c *Conn) {
-	core := a.w.Core(c.Info.PID)
-	for {
-		slotAddr := c.NC.RX.TailAddr()
-		desc, err := c.NC.RX.Pop()
-		if err != nil {
-			return
-		}
-		p := desc.Pkt
-		now := a.w.Eng.Now()
-		_, done := core.Acquire(now, a.appRxCost(c, p, slotAddr))
-		a.w.Eng.At(done, func() { a.upcall(c, p, a.w.Eng.Now()) })
-	}
 }

@@ -45,10 +45,10 @@ type appRings struct {
 // NewSidecar builds the architecture on a world.
 func NewSidecar(w *World) *Sidecar {
 	a := &Sidecar{
-		base:     newBase(w),
 		fw:       filter.NewEngine(true), // OS-integrated: has the process view
 		appRings: map[uint64]*appRings{},
 	}
+	a.initBase(w)
 	a.fw.EnableConntrack(filter.NewConntrack(1<<16, 120*sim.Second))
 	snapProc := w.Kern.Spawn(0, "snap-dataplane")
 	ci, err := w.Kern.RegisterConn(snapProc, packet.FlowKey{})

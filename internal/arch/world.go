@@ -39,9 +39,10 @@ type World struct {
 	// point appends a span event.
 	Tracer *telemetry.Tracer
 
-	cores     map[uint32]*sim.Server // per-process app cores
-	kernCores []*sim.Server          // kernel / sidecar dataplane cores (softirq queues)
-	pollers   map[*sim.Server]bool   // cores pinned at 100% by poll loops
+	wire      *sim.Pool[*packet.Packet] // frames propagating to the peer (SendOnWire)
+	cores     map[uint32]*sim.Server    // per-process app cores
+	kernCores []*sim.Server             // kernel / sidecar dataplane cores (softirq queues)
+	pollers   map[*sim.Server]bool      // cores pinned at 100% by poll loops
 }
 
 // WorldConfig parameterizes NewWorld; zero values take defaults.
@@ -94,6 +95,7 @@ func NewWorld(cfg WorldConfig) *World {
 		kernCores: kernCores,
 		pollers:   map[*sim.Server]bool{},
 	}
+	w.wire = sim.NewPool(eng, w.arriveAtPeer)
 	w.NIC = nic.New(nic.Config{
 		Engine:     eng,
 		Model:      cfg.Model,
@@ -196,10 +198,11 @@ func (w *World) SendOnWire(p *packet.Packet, at sim.Time) {
 	if w.Peer == nil {
 		return
 	}
-	w.Eng.At(at.Add(sim.Duration(w.Model.WireLatency)), func() {
-		w.Peer(p, w.Eng.Now())
-	})
+	w.wire.At(at.Add(sim.Duration(w.Model.WireLatency)), p)
 }
+
+// arriveAtPeer hands a frame that finished propagating to the peer.
+func (w *World) arriveAtPeer(p *packet.Packet) { w.Peer(p, w.Eng.Now()) }
 
 // Flow builds the canonical local->remote UDP flow key for port pairs.
 func (w *World) Flow(localPort, remotePort uint16) packet.FlowKey {

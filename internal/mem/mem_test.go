@@ -200,3 +200,24 @@ func TestNotifyKindString(t *testing.T) {
 		t.Fatal("kind strings")
 	}
 }
+
+// TestNotifyQueueSteadyStateZeroAlloc pins a warmed notification queue at
+// zero allocations: the kernel monitor drains it completely on every wake,
+// and the next burst must reuse the buffer.
+func TestNotifyQueueSteadyStateZeroAlloc(t *testing.T) {
+	q := NewNotifyQueue(1024)
+	cycle := func() {
+		for i := 0; i < 64; i++ {
+			q.Push(Notification{ConnID: uint64(i), Kind: NotifyRxReady})
+		}
+		for i := 0; i < 64; i++ {
+			if n, ok := q.Pop(); !ok || n.ConnID != uint64(i) {
+				t.Fatalf("pop %d: %+v %v", i, n, ok)
+			}
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("notification queue allocates %.2f per burst", allocs)
+	}
+}

@@ -38,7 +38,7 @@ type Notification struct {
 // NotifyQueue is a bounded queue shared between the NIC (producer), and the
 // owning process and the kernel (consumers). One exists per process.
 type NotifyQueue struct {
-	entries  []Notification
+	entries  sim.Queue[Notification]
 	capacity int
 	dropped  uint64
 	pushed   uint64
@@ -56,27 +56,25 @@ func NewNotifyQueue(capacity int) *NotifyQueue {
 // counted (the consumer must rescan rings after an overflow, as real
 // notification schemes do).
 func (q *NotifyQueue) Push(n Notification) bool {
-	if len(q.entries) >= q.capacity {
+	if q.entries.Len() >= q.capacity {
 		q.dropped++
 		return false
 	}
-	q.entries = append(q.entries, n)
+	q.entries.Push(n)
 	q.pushed++
 	return true
 }
 
 // Pop removes and returns the oldest notification.
 func (q *NotifyQueue) Pop() (Notification, bool) {
-	if len(q.entries) == 0 {
+	if q.entries.Len() == 0 {
 		return Notification{}, false
 	}
-	n := q.entries[0]
-	q.entries = q.entries[1:]
-	return n, true
+	return q.entries.Pop(), true
 }
 
 // Len returns the number of queued notifications.
-func (q *NotifyQueue) Len() int { return len(q.entries) }
+func (q *NotifyQueue) Len() int { return q.entries.Len() }
 
 // Overflowed reports whether any notification has been dropped.
 func (q *NotifyQueue) Overflowed() bool { return q.dropped > 0 }

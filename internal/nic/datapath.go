@@ -96,11 +96,31 @@ const (
 	reqRxDMA                  // DMA engine: RX descriptor read + payload store
 )
 
-// grant is one request for a serial NIC server. It is a flat value — the
-// scheduler's per-tenant queues are rings of grants, so steady-state
-// scheduling allocates nothing.
+// step names the datapath continuation a scheduled event runs (NIC.step).
+// Every steady-state NIC event is a recycled continuation record holding a
+// grant, not a closure, so scheduling one allocates nothing.
+type step uint8
+
+const (
+	stepRxFrame        step = iota // last bit in from the wire: rxFrame
+	stepRxDMA                      // pipeline exit, ring slot fixed at pipeline time
+	stepRxDMAAtHead                // pipeline exit, ring slot read now (scheduled NIC)
+	stepRxComplete                 // RX DMA landed: rxComplete
+	stepSlowPath                   // unsteered frame leaves the pipeline for the slow path
+	stepTxDrain                    // DMA engine free again: continue the TX drain
+	stepTxArrive                   // TX payload across PCIe: txArrive
+	stepTxEmit                     // egress pipeline exit: txEmit
+	stepTxSent                     // last bit on the wire (scheduled path)
+	stepTxSentFreeSlot             // last bit on the wire, releasing a staging slot
+)
+
+// grant is one request for a serial NIC server, and the argument of every
+// scheduled datapath step. It is a flat value — the scheduler's per-tenant
+// queues are rings of grants and the engine events are recycled records
+// holding one, so steady-state scheduling allocates nothing.
 type grant struct {
 	kind  reqKind
+	step  step  // the continuation a scheduled event runs
 	c     *Conn // nil only for unsteered reqRxPipe frames
 	p     *packet.Packet
 	index uint64       // ring slot, DMA kinds only
@@ -176,6 +196,45 @@ func (n *NIC) resume(g grant, done sim.Time) {
 		n.ingressPipe(g, done)
 	case reqRxDMA:
 		n.rxDMADone(g, done)
+	}
+}
+
+// schedule runs the datapath step g.step with g at time t, on a recycled
+// continuation record.
+func (n *NIC) schedule(t sim.Time, s step, g grant) {
+	g.step = s
+	n.steps.At(t, g)
+}
+
+// step is the handler of every scheduled datapath event, dispatched by the
+// step the event was scheduled with.
+func (n *NIC) step(g grant) {
+	switch g.step {
+	case stepRxFrame:
+		n.rxFrame(g.p)
+	case stepRxDMA:
+		n.request(g)
+	case stepRxDMAAtHead:
+		g.index = g.c.RX.Head()
+		n.request(g)
+	case stepRxComplete:
+		n.rxComplete(g.c, g.p, g.index)
+	case stepSlowPath:
+		n.rxRelease(g.p)
+		n.SlowPath(g.p, n.eng.Now())
+	case stepTxDrain:
+		n.drainTx(g.c)
+	case stepTxArrive:
+		n.txArrive(g.c, g.p, g.frame, g.prod)
+	case stepTxEmit:
+		n.txEmit(g.c, g.p)
+	case stepTxSent, stepTxSentFreeSlot:
+		if g.step == stepTxSentFreeSlot {
+			n.txSlotFree()
+		}
+		if n.OnTransmit != nil {
+			n.OnTransmit(g.p, n.eng.Now())
+		}
 	}
 }
 
@@ -274,9 +333,8 @@ func (n *NIC) drainTx(c *Conn) {
 // DMA engine frees, and the frame reaches the egress pipeline after the PCIe
 // flight.
 func (n *NIC) txFetchDone(g grant, done sim.Time) {
-	c, p, frame, prod := g.c, g.p, g.frame, g.prod
-	n.eng.At(done, func() { n.drainTx(c) })
-	n.eng.At(done.Add(n.model.DMALatency), func() { n.txArrive(c, p, frame, prod) })
+	n.schedule(done, stepTxDrain, grant{c: g.c})
+	n.schedule(done.Add(n.model.DMALatency), stepTxArrive, g)
 }
 
 // txArrive is the egress step once a fetched descriptor's payload has crossed
@@ -299,13 +357,7 @@ func (n *NIC) egressPipe(g grant, done sim.Time) {
 	c, p := g.c, g.p
 	lat := sim.Duration(n.model.NICPipeline)
 	if n.egress != nil {
-		verdict, cycles, trap := n.egress.Run(p, env{n: n, now: now, c: c})
-		if trap != nil {
-			if n.tracer != nil {
-				n.trace(p, now, "nic", "trap_fallback", "pipeline=egress: "+trap.Error())
-			}
-			verdict, cycles = n.trapFallback(Egress, p, env{n: n, now: now, c: c})
-		}
+		verdict, cycles, _ := n.runProgram(Egress, p, now, c)
 		lat += n.charge(p, n.model.NICCycles(cycles))
 		if n.tracer != nil {
 			n.trace(p, now, "nic", "pipeline_egress", fmt.Sprintf("verdict=%v cycles=%d", verdict, cycles))
@@ -316,7 +368,7 @@ func (n *NIC) egressPipe(g grant, done sim.Time) {
 			return
 		}
 	}
-	n.eng.At(done.Add(lat), func() { n.txEmit(c, p) })
+	n.schedule(done.Add(lat), stepTxEmit, grant{c: c, p: p})
 }
 
 // txEmit hands a pipeline-approved frame onward: TSO segmentation when
@@ -398,18 +450,22 @@ func (n *NIC) pumpWire() {
 		at = now
 	}
 	n.schedPump = true
-	n.eng.At(at, func() {
-		n.schedPump = false
-		now := n.eng.Now()
-		if p, ok := n.sched.Dequeue(now); ok {
-			n.transmit(p, now, false)
-			n.pumpWire()
-			return
-		}
-		// No progress (e.g. a shaper's tokens not yet accrued): retry a
-		// little later rather than spinning at this instant.
-		n.eng.After(100*sim.Nanosecond, n.pumpWire)
-	})
+	n.eng.At(at, n.pumpStepFn)
+}
+
+// pumpStep is pumpWire's pending dequeue. It and the retry below are bound
+// once, in New, so the pump schedules no closure per frame.
+func (n *NIC) pumpStep() {
+	n.schedPump = false
+	now := n.eng.Now()
+	if p, ok := n.sched.Dequeue(now); ok {
+		n.transmit(p, now, false)
+		n.pumpWire()
+		return
+	}
+	// No progress (e.g. a shaper's tokens not yet accrued): retry a
+	// little later rather than spinning at this instant.
+	n.eng.After(100*sim.Nanosecond, n.pumpWireFn)
 }
 
 // transmit serializes a frame onto the wire. freeSlot marks packets still
@@ -428,15 +484,11 @@ func (n *NIC) transmit(p *packet.Packet, now sim.Time, freeSlot bool) {
 	if cn, ok := n.conns[p.Meta.ConnID]; ok {
 		cn.TxSent++
 	}
-	out := p
-	n.eng.At(done, func() {
-		if freeSlot {
-			n.txSlotFree()
-		}
-		if n.OnTransmit != nil {
-			n.OnTransmit(out, n.eng.Now())
-		}
-	})
+	s := stepTxSent
+	if freeSlot {
+		s = stepTxSentFreeSlot
+	}
+	n.schedule(done, s, grant{p: p})
 }
 
 // InjectTx transmits a control-plane-originated frame (ARP replies, ICMP
@@ -460,7 +512,7 @@ func (n *NIC) InjectTx(p *packet.Packet) {
 // serialized at line rate, so no experiment can observe goodput above it.
 func (n *NIC) DeliverFromWire(p *packet.Packet) {
 	_, arrived := n.wireRx.Acquire(n.eng.Now(), n.model.Wire(p.FrameLen()))
-	n.eng.At(arrived, func() { n.rxFrame(p) })
+	n.schedule(arrived, stepRxFrame, grant{p: p})
 }
 
 func (n *NIC) rxFrame(p *packet.Packet) {
@@ -571,14 +623,7 @@ func (n *NIC) ingressPipe(g grant, done sim.Time) {
 				return
 			}
 		} else {
-			verdict, cycles, trap := n.ingress.Run(p, env{n: n, now: now, c: c})
-			trapped := trap != nil
-			if trapped {
-				if n.tracer != nil {
-					n.trace(p, now, "nic", "trap_fallback", "pipeline=ingress: "+trap.Error())
-				}
-				verdict, cycles = n.trapFallback(Ingress, p, env{n: n, now: now, c: c})
-			}
+			verdict, cycles, trapped := n.runProgram(Ingress, p, now, c)
 			n.IngressProgCycles += uint64(cycles)
 			cyc := n.model.NICCycles(cycles)
 			if n.fc != nil && n.ingressCacheable && c != nil {
@@ -601,10 +646,7 @@ func (n *NIC) ingressPipe(g grant, done sim.Time) {
 	if c == nil {
 		if n.SlowPath != nil {
 			n.RxSlowPath++
-			n.eng.At(at, func() {
-				n.rxRelease(p)
-				n.SlowPath(p, n.eng.Now())
-			})
+			n.schedule(at, stepSlowPath, grant{p: p})
 		} else {
 			n.RxDropNoSteer++
 			n.rxRelease(p)
@@ -619,21 +661,19 @@ func (n *NIC) ingressPipe(g grant, done sim.Time) {
 		// and takes the slot then. Each choice fixes the DMA reservation order
 		// and the LLC access order its recorded tables were measured with, so
 		// the two stay distinct.
-		index := c.RX.Head()
 		if free := n.dma.FreeAt(); free > at {
 			at = free
 		}
-		n.eng.At(at, func() { n.request(grant{kind: reqRxDMA, c: c, p: p, index: index, frame: frame}) })
+		n.schedule(at, stepRxDMA, grant{kind: reqRxDMA, c: c, p: p, index: c.RX.Head(), frame: frame})
 		return
 	}
-	n.eng.At(at, func() { n.request(grant{kind: reqRxDMA, c: c, p: p, index: c.RX.Head(), frame: frame}) })
+	n.schedule(at, stepRxDMAAtHead, grant{kind: reqRxDMA, c: c, p: p, frame: frame})
 }
 
 // rxDMADone is the RX-DMA continuation: the stored frame becomes host
 // visible after the PCIe flight.
 func (n *NIC) rxDMADone(g grant, done sim.Time) {
-	c, p, index := g.c, g.p, g.index
-	n.eng.At(done.Add(n.model.DMALatency), func() { n.rxComplete(c, p, index) })
+	n.schedule(done.Add(n.model.DMALatency), stepRxComplete, g)
 }
 
 // rxRelease returns the ingress FIFO slot(s) a frame held: the global

@@ -194,6 +194,8 @@ type NIC struct {
 
 	sched      qos.Qdisc // egress scheduler; nil = pure FIFO via wire server
 	schedPump  bool
+	pumpStepFn func() // pumpStep and pumpWire, bound once in New
+	pumpWireFn func()
 	classifier func(*packet.Packet) uint32 // egress class assignment; nil = Meta.Class as-is
 
 	// tsched, when non-nil, schedules the pipeline and DMA servers across
@@ -209,6 +211,14 @@ type NIC struct {
 	shedPolicy func(c *Conn, p *packet.Packet) bool
 
 	tap *sniff.Tap
+
+	// steps recycles the continuation records behind every scheduled
+	// datapath event (NIC.step), so the steady-state packet path schedules
+	// no closures.
+	steps *sim.Pool[grant]
+	// env is the overlay environment of the program run in progress
+	// (runProgram).
+	env env
 
 	// tracer, when non-nil, receives packet-lifecycle span events from
 	// every NIC interposition point (ring dequeue, pipeline verdicts, trap
@@ -300,7 +310,7 @@ func New(cfg Config) *NIC {
 	if cfg.Alloc == nil {
 		cfg.Alloc = mem.NewAlloc()
 	}
-	return &NIC{
+	n := &NIC{
 		eng:        cfg.Engine,
 		model:      cfg.Model,
 		llc:        cfg.LLC,
@@ -318,6 +328,10 @@ func New(cfg Config) *NIC {
 		rxWindow:   128,
 		linkUp:     true,
 	}
+	n.steps = sim.NewPool(cfg.Engine, n.step)
+	n.pumpStepFn = n.pumpStep
+	n.pumpWireFn = n.pumpWire
+	return n
 }
 
 // connSRAM is the on-NIC footprint of one connection: head/tail shadow

@@ -77,7 +77,7 @@ func (n *NIC) LastGood(dir Direction) *overlay.Program { return n.lastGood[dir] 
 // One trap event counts once: the absorbed trap increments TrapFallbacks,
 // and the terminal double-trap increments TrapFailOpens instead of
 // inflating the fallback count a second time.
-func (n *NIC) trapFallback(dir Direction, p *packet.Packet, e env) (overlay.Verdict, int) {
+func (n *NIC) trapFallback(dir Direction, p *packet.Packet, e *env) (overlay.Verdict, int) {
 	n.TrapFallbacks++
 	var repl *overlay.Machine
 	if lg := n.lastGood[dir]; lg != nil {
@@ -183,6 +183,27 @@ func (n *NIC) ReloadBitstream(now sim.Time, d sim.Duration) sim.Time {
 	return n.outageUntil
 }
 
+// runProgram runs dir's loaded overlay program on p and absorbs a runtime
+// trap through trapFallback; trapped reports that it did. The program sees
+// the NIC through n.env, filled in place for the run: an env passed by value
+// would be boxed into the overlay.Env interface, one allocation per packet.
+// The previous contents are restored afterwards, so a run nested inside a
+// Notify or Mirror callback cannot change what the outer run sees.
+func (n *NIC) runProgram(dir Direction, p *packet.Packet, now sim.Time, c *Conn) (verdict overlay.Verdict, cycles int, trapped bool) {
+	saved := n.env
+	n.env = env{n: n, now: now, c: c}
+	verdict, cycles, trap := n.Machine(dir).Run(p, &n.env)
+	if trap != nil {
+		trapped = true
+		if n.tracer != nil {
+			n.trace(p, now, "nic", "trap_fallback", "pipeline="+dir.String()+": "+trap.Error())
+		}
+		verdict, cycles = n.trapFallback(dir, p, &n.env)
+	}
+	n.env = saved
+	return verdict, cycles, trapped
+}
+
 // env adapts the NIC to overlay.Env for one packet run.
 type env struct {
 	n   *NIC
@@ -191,10 +212,10 @@ type env struct {
 }
 
 // Now implements overlay.Env.
-func (e env) Now() sim.Time { return e.now }
+func (e *env) Now() sim.Time { return e.now }
 
 // Mirror implements overlay.Env by feeding the capture tap.
-func (e env) Mirror(p *packet.Packet) {
+func (e *env) Mirror(p *packet.Packet) {
 	if e.n.tap != nil {
 		e.n.tap.Offer(p, e.now)
 	}
@@ -202,7 +223,7 @@ func (e env) Mirror(p *packet.Packet) {
 
 // Notify implements overlay.Env by appending to the owning connection's
 // notification queue.
-func (e env) Notify(p *packet.Packet) {
+func (e *env) Notify(p *packet.Packet) {
 	if e.c != nil {
 		e.n.pushNotify(e.c, mem.NotifyRxReady, e.now)
 	}

@@ -30,35 +30,12 @@ type tenantQ struct {
 	quantum int64 // per-round deficit refill, ns of server time
 	deficit int64
 
-	q      []grant
-	head   int
-	n      int
+	q      sim.Queue[grant]
 	queued bool // on the active ring
 
 	grants uint64       // requests served
 	work   sim.Duration // server occupancy granted
 	wait   sim.Duration // time requests spent queued
-}
-
-func (q *tenantQ) push(g grant) {
-	if q.n == len(q.q) {
-		grown := make([]grant, maxInt(8, 2*len(q.q)))
-		for i := 0; i < q.n; i++ {
-			grown[i] = q.q[(q.head+i)%len(q.q)]
-		}
-		q.q = grown
-		q.head = 0
-	}
-	q.q[(q.head+q.n)%len(q.q)] = g
-	q.n++
-}
-
-func (q *tenantQ) pop() grant {
-	g := q.q[q.head]
-	q.q[q.head] = grant{} // drop packet references
-	q.head = (q.head + 1) % len(q.q)
-	q.n--
-	return g
 }
 
 func maxInt(a, b int) int {
@@ -83,9 +60,7 @@ type TenantDRR struct {
 	qs    map[uint32]*tenantQ
 	order []uint32 // sorted tenant ids, for deterministic accessors
 
-	active     []uint32 // round-robin ring of backlogged tenant ids
-	activeHead int
-	activeN    int
+	active sim.Queue[uint32] // round-robin ring of backlogged tenant ids
 
 	backlog int
 	pumping bool
@@ -157,11 +132,11 @@ func (d *TenantDRR) Request(g grant) {
 		return
 	}
 	g.est = d.nic.grantEst(g)
-	q.push(g)
+	q.q.Push(g)
 	d.backlog++
 	if !q.queued {
 		q.queued = true
-		d.activePush(q.tenant)
+		d.active.Push(q.tenant)
 	}
 	d.schedule(d.srv.FreeAt())
 }
@@ -231,54 +206,32 @@ func (d *TenantDRR) pump() {
 // affordable grant. Queues that drain leave the round with their deficit
 // reset.
 func (d *TenantDRR) next() (grant, *tenantQ, bool) {
-	for d.activeN > 0 {
-		q := d.qs[d.active[d.activeHead]]
-		if q.n == 0 {
+	for d.active.Len() > 0 {
+		q := d.qs[d.active.Peek()]
+		if q.q.Len() == 0 {
 			q.queued = false
 			q.deficit = 0
-			d.activePop()
+			d.active.Pop()
 			continue
 		}
-		g := q.q[q.head]
+		g := q.q.Peek()
 		if q.deficit < int64(g.est) {
 			q.deficit += q.quantum
-			d.activeRotate()
+			d.active.Push(d.active.Pop())
 			continue
 		}
-		q.pop()
+		q.q.Pop()
 		d.backlog--
 		q.deficit -= int64(g.est)
-		if q.n == 0 {
+		if q.q.Len() == 0 {
 			q.queued = false
 			q.deficit = 0
-			d.activePop()
+			d.active.Pop()
 		}
 		return g, q, true
 	}
 	return grant{}, nil, false
 }
-
-func (d *TenantDRR) activePush(id uint32) {
-	if d.activeN == len(d.active) {
-		grown := make([]uint32, maxInt(8, 2*len(d.active)))
-		for i := 0; i < d.activeN; i++ {
-			grown[i] = d.active[(d.activeHead+i)%len(d.active)]
-		}
-		d.active = grown
-		d.activeHead = 0
-	}
-	d.active[(d.activeHead+d.activeN)%len(d.active)] = id
-	d.activeN++
-}
-
-func (d *TenantDRR) activePop() uint32 {
-	id := d.active[d.activeHead]
-	d.activeHead = (d.activeHead + 1) % len(d.active)
-	d.activeN--
-	return id
-}
-
-func (d *TenantDRR) activeRotate() { d.activePush(d.activePop()) }
 
 // Backlog returns the total queued grants across tenants.
 func (d *TenantDRR) Backlog() int { return d.backlog }

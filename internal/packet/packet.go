@@ -233,22 +233,52 @@ func (p *Packet) Flow() (k FlowKey, ok bool) {
 	return k, true
 }
 
+// udpPacket and tcpPacket hold a transport packet and its headers in one
+// allocation: the Packet's IP and UDP/TCP pointers point into the same
+// object, so building or cloning a datagram costs one allocation instead of
+// three. Callers only ever see the *Packet.
+type udpPacket struct {
+	Packet
+	ip  IP
+	udp UDP
+}
+
+type tcpPacket struct {
+	Packet
+	ip  IP
+	tcp TCP
+}
+
 // Clone returns a deep copy of the packet (headers and payload).
 func (p *Packet) Clone() *Packet {
-	q := *p
+	var q *Packet
+	switch {
+	case p.IP != nil && p.UDP != nil:
+		b := &udpPacket{Packet: *p, ip: *p.IP, udp: *p.UDP}
+		b.IP, b.UDP = &b.ip, &b.udp
+		q = &b.Packet
+	case p.IP != nil && p.TCP != nil:
+		b := &tcpPacket{Packet: *p, ip: *p.IP, tcp: *p.TCP}
+		b.IP, b.TCP = &b.ip, &b.tcp
+		q = &b.Packet
+	default:
+		c := *p
+		q = &c
+	}
+	// Deep-copy whatever header still aliases the original.
 	if p.ARP != nil {
 		a := *p.ARP
 		q.ARP = &a
 	}
-	if p.IP != nil {
+	if q.IP == p.IP && p.IP != nil {
 		h := *p.IP
 		q.IP = &h
 	}
-	if p.UDP != nil {
+	if q.UDP == p.UDP && p.UDP != nil {
 		u := *p.UDP
 		q.UDP = &u
 	}
-	if p.TCP != nil {
+	if q.TCP == p.TCP && p.TCP != nil {
 		t := *p.TCP
 		q.TCP = &t
 	}
@@ -259,40 +289,50 @@ func (p *Packet) Clone() *Packet {
 	if p.Payload != nil {
 		q.Payload = append([]byte(nil), p.Payload...)
 	}
-	return &q
+	return q
 }
 
 // NewUDP builds a UDP datagram with the given addressing and payload size.
 func NewUDP(srcMAC, dstMAC MAC, src, dst IPv4, sport, dport uint16, payloadLen int) *Packet {
-	return &Packet{
-		Eth: Eth{Dst: dstMAC, Src: srcMAC, Type: EtherTypeIPv4},
-		IP: &IP{
+	b := &udpPacket{
+		ip: IP{
 			TotalLen: uint16(20 + 8 + payloadLen),
 			TTL:      64,
 			Proto:    ProtoUDP,
 			Src:      src,
 			Dst:      dst,
 		},
-		UDP:        &UDP{SrcPort: sport, DstPort: dport, Len: uint16(8 + payloadLen)},
+		udp: UDP{SrcPort: sport, DstPort: dport, Len: uint16(8 + payloadLen)},
+	}
+	b.Packet = Packet{
+		Eth:        Eth{Dst: dstMAC, Src: srcMAC, Type: EtherTypeIPv4},
+		IP:         &b.ip,
+		UDP:        &b.udp,
 		PayloadLen: payloadLen,
 	}
+	return &b.Packet
 }
 
 // NewTCP builds a TCP segment with the given addressing, flags and payload
 // size.
 func NewTCP(srcMAC, dstMAC MAC, src, dst IPv4, sport, dport uint16, flags uint8, payloadLen int) *Packet {
-	return &Packet{
-		Eth: Eth{Dst: dstMAC, Src: srcMAC, Type: EtherTypeIPv4},
-		IP: &IP{
+	b := &tcpPacket{
+		ip: IP{
 			TotalLen: uint16(20 + 20 + payloadLen),
 			TTL:      64,
 			Proto:    ProtoTCP,
 			Src:      src,
 			Dst:      dst,
 		},
-		TCP:        &TCP{SrcPort: sport, DstPort: dport, Flags: flags, Window: 65535},
+		tcp: TCP{SrcPort: sport, DstPort: dport, Flags: flags, Window: 65535},
+	}
+	b.Packet = Packet{
+		Eth:        Eth{Dst: dstMAC, Src: srcMAC, Type: EtherTypeIPv4},
+		IP:         &b.ip,
+		TCP:        &b.tcp,
 		PayloadLen: payloadLen,
 	}
+	return &b.Packet
 }
 
 // NewARPRequest builds a who-has ARP broadcast.

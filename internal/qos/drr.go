@@ -12,7 +12,7 @@ import (
 // WFQ under identical load.
 type DRR struct {
 	classes        map[uint32]*drrClass
-	active         []uint32 // round-robin order of classes with queued packets
+	active         sim.Queue[uint32] // round-robin order of classes with queued packets
 	limit          int
 	nitems         int
 	defaultQuantum int
@@ -24,7 +24,7 @@ type drrClass struct {
 	id      uint32
 	quantum int
 	deficit int
-	q       []*packet.Packet
+	q       sim.Queue[*packet.Packet]
 	queued  bool
 }
 
@@ -82,15 +82,15 @@ func (q *DRR) Enqueue(p *packet.Packet, _ sim.Time) bool {
 	if perClass < 1 {
 		perClass = 1
 	}
-	if q.nitems >= q.limit || len(c.q) >= perClass {
+	if q.nitems >= q.limit || c.q.Len() >= perClass {
 		q.stats.DropPackets++
 		q.classStats(p.Meta.Class).DropPackets++
 		return false
 	}
-	c.q = append(c.q, p)
+	c.q.Push(p)
 	if !c.queued {
 		c.queued = true
-		q.active = append(q.active, c.id)
+		q.active.Push(c.id)
 	}
 	q.nitems++
 	q.stats.EnqPackets++
@@ -107,30 +107,29 @@ func (q *DRR) Dequeue(_ sim.Time) (*packet.Packet, bool) {
 		return nil, false
 	}
 	for {
-		c := q.classes[q.active[0]]
-		if len(c.q) == 0 {
+		c := q.classes[q.active.Peek()]
+		if c.q.Len() == 0 {
 			// Class drained since being queued; drop from the round.
 			c.queued = false
 			c.deficit = 0
-			q.active = q.active[1:]
+			q.active.Pop()
 			continue
 		}
-		head := c.q[0]
+		head := c.q.Peek()
 		need := head.FrameLen()
 		if c.deficit < need {
 			// Give the class its quantum and rotate to the back.
 			c.deficit += c.quantum
-			q.active = append(q.active[1:], c.id)
+			q.active.Push(q.active.Pop())
 			continue
 		}
 		c.deficit -= need
-		c.q[0] = nil
-		c.q = c.q[1:]
+		c.q.Pop()
 		q.nitems--
-		if len(c.q) == 0 {
+		if c.q.Len() == 0 {
 			c.queued = false
 			c.deficit = 0
-			q.active = q.active[1:]
+			q.active.Pop()
 		}
 		q.stats.DeqPackets++
 		q.stats.DeqBytes += uint64(need)

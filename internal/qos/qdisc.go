@@ -39,29 +39,27 @@ type Stats struct {
 
 // fifo is the shared bounded-FIFO core.
 type fifo struct {
-	q     []*packet.Packet
+	q     sim.Queue[*packet.Packet]
 	limit int
 	stats Stats
 }
 
 func (f *fifo) push(p *packet.Packet) bool {
-	if len(f.q) >= f.limit {
+	if f.q.Len() >= f.limit {
 		f.stats.DropPackets++
 		return false
 	}
-	f.q = append(f.q, p)
+	f.q.Push(p)
 	f.stats.EnqPackets++
 	f.stats.EnqBytes += uint64(p.FrameLen())
 	return true
 }
 
 func (f *fifo) pop() (*packet.Packet, bool) {
-	if len(f.q) == 0 {
+	if f.q.Len() == 0 {
 		return nil, false
 	}
-	p := f.q[0]
-	f.q[0] = nil
-	f.q = f.q[1:]
+	p := f.q.Pop()
 	f.stats.DeqPackets++
 	f.stats.DeqBytes += uint64(p.FrameLen())
 	return p, true
@@ -91,14 +89,14 @@ func (q *PFIFO) Dequeue(_ sim.Time) (*packet.Packet, bool) { return q.pop() }
 
 // ReadyAt implements Qdisc: a FIFO is ready immediately when non-empty.
 func (q *PFIFO) ReadyAt(now sim.Time) (sim.Time, bool) {
-	if len(q.q) == 0 {
+	if q.q.Len() == 0 {
 		return 0, false
 	}
 	return now, true
 }
 
 // Len implements Qdisc.
-func (q *PFIFO) Len() int { return len(q.q) }
+func (q *PFIFO) Len() int { return q.q.Len() }
 
 // Stats returns cumulative counters.
 func (q *PFIFO) Stats() Stats { return q.stats }

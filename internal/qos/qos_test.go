@@ -260,3 +260,45 @@ func TestConservationQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestQdiscSteadyStateZeroAlloc pins the DRR and PFIFO queues at zero
+// allocations once warmed: a qdisc that drains and refills reuses its
+// buffers. Each cycle fills several classes and drains them completely,
+// the pattern a lightly loaded egress scheduler sees on every burst.
+func TestQdiscSteadyStateZeroAlloc(t *testing.T) {
+	var pkts []*packet.Packet
+	for i := 0; i < 24; i++ {
+		pkts = append(pkts, pkt(uint32(i%3), 64+i*50))
+	}
+	drr := NewDRR(4096, 1514)
+	drr.SetQuantum(0, 1514)
+	drr.SetQuantum(1, 3028)
+	drr.SetQuantum(2, 1514)
+	cases := []struct {
+		name string
+		q    Qdisc
+	}{
+		{"drr", drr},
+		{"pfifo", NewPFIFO(1000)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cycle := func() {
+				for _, p := range pkts {
+					if !tc.q.Enqueue(p, 0) {
+						t.Fatal("enqueue under the limit refused")
+					}
+				}
+				for tc.q.Len() > 0 {
+					if _, ok := tc.q.Dequeue(0); !ok {
+						t.Fatal("non-empty qdisc refused a dequeue")
+					}
+				}
+			}
+			cycle()
+			if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+				t.Fatalf("%s allocates %.2f per fill-drain cycle", tc.name, allocs)
+			}
+		})
+	}
+}

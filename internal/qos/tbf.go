@@ -101,10 +101,10 @@ func (q *TBF) Len() int { return q.inner.Len() }
 func peek(q Qdisc, now sim.Time) (*packet.Packet, bool) {
 	switch t := q.(type) {
 	case *PFIFO:
-		if len(t.q) == 0 {
+		if t.q.Len() == 0 {
 			return nil, false
 		}
-		return t.q[0], true
+		return t.q.Peek(), true
 	case *Prio:
 		for _, b := range t.bands {
 			if p, ok := peek(b, now); ok {

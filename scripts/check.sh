@@ -72,6 +72,12 @@ NORMAN_WORKERS=8 NORMAN_FAULT_SEED=7 go test -race -count=1 -run 'E16|Upgrade|Sn
 # coordinator's merge order must be byte-identical at any shard count
 # (DESIGN.md §8), with the lockstep worker goroutines under the detector.
 NORMAN_WORKERS=8 go test -race -count=1 -run 'E12|Shard|Sharded|Flyweight|QueueGroup|Slab|Burst' ./internal/experiments/... ./internal/sim/... ./internal/mem/... ./internal/transport/... ./internal/nic/... ./internal/arch/...
+# Allocation-free packet path under race: the continuation records' reuse
+# check (a record scheduled twice or fired while free panics), the property
+# that every record is back on its free list once a world with random drops
+# drains, and the zero-allocation guards on the engine, NIC, world, qdisc
+# and notification-queue hot paths.
+NORMAN_WORKERS=8 go test -race -count=1 -run 'Alloc|Continuation' ./internal/sim/... ./internal/nic/... ./internal/arch/... ./internal/qos/... ./internal/mem/...
 
 # pcap round-trip smoke: boot a real daemon, capture through the control
 # socket, and validate the exported file carries the classic little-endian
